@@ -19,7 +19,6 @@ use std::io;
 
 use crate::entry::RecordLayout;
 use crate::io::{RecordSink, RecordSource};
-use crate::kernels::Kernel;
 use crate::planner::{PassPlan, Planner};
 use crate::runform::Representation;
 use crate::stats::SortStats;
@@ -49,12 +48,8 @@ pub struct SortConfig {
     /// disjoint key ranges by sampled splitters and each range merges
     /// independently — output stays byte-identical to the serial merge.
     pub merge_workers: usize,
-    /// Hot-path kernel variant for run formation and tree replay (see
-    /// [`crate::kernels`]). Every kernel is byte-identical to the default
-    /// scalar oracle; the choice only moves CPU time.
-    pub kernel: Kernel,
-    /// Record model the sort operates on (see [`RecordLayout`]). Like the
-    /// kernel, the layout only moves CPU time: for a given layout every
+    /// Record model the sort operates on (see [`RecordLayout`]). The
+    /// layout only moves CPU time: for a given layout every
     /// configuration produces byte-identical output. `VarLen` routes both
     /// drivers to the LCP/OVC-aware pipeline in [`crate::varlen`].
     pub layout: RecordLayout,
@@ -70,7 +65,6 @@ impl Default for SortConfig {
             memory_budget: 256 << 20,
             max_fanin: 128,
             merge_workers: 0,
-            kernel: Kernel::Scalar,
             layout: RecordLayout::Datamation,
         }
     }
@@ -119,10 +113,7 @@ impl ExternalSorter {
     {
         let planner = Planner::new(self.cfg.memory_budget);
         let plan = match source.size_hint() {
-            Some(bytes) => {
-                let (plan, _kernel) = planner.plan_with_kernel(bytes, self.cfg.kernel);
-                plan
-            }
+            Some(bytes) => planner.plan(bytes),
             None => PassPlan::TwoPass,
         };
         match plan {

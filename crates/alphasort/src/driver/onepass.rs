@@ -49,7 +49,7 @@ where
     let run_bytes = cfg.run_records * RECORD_LEN;
 
     // ---- input + run formation, overlapped --------------------------------
-    let mut pool = SortPool::with_kernel(cfg.workers, cfg.representation, cfg.kernel);
+    let mut pool = SortPool::new(cfg.workers, cfg.representation);
     let mut cur: Vec<u8> = Vec::with_capacity(run_bytes);
     loop {
         let mut rd = obs::span(obs::phase::READ);
@@ -108,7 +108,7 @@ where
             plan_mem_partitions(&runs, cfg.merge_workers, SAMPLES_PER_RANGE)
         });
         stats.merge_range_records = plan.range_records.clone();
-        let mut pool = MergePool::with_kernel(cfg.merge_workers, Arc::clone(&runs), cfg.kernel.tree());
+        let mut pool = MergePool::new(cfg.merge_workers, Arc::clone(&runs));
         for row in &plan.bounds {
             pool.submit(row.iter().map(|&(s, e)| (s as u32, e as u32)).collect());
         }
@@ -129,7 +129,7 @@ where
             plan: PassPlan::OnePass,
         });
     }
-    let mut merger = RunMerger::new_with_kernel(&runs, cfg.kernel.tree());
+    let mut merger = RunMerger::new(&runs);
     let mut gather = GatherPool::new(cfg.workers, Arc::clone(&runs));
     loop {
         let ptrs = timed_phase(obs::phase::MERGE, &mut stats.merge_time, || {
@@ -273,38 +273,6 @@ mod tests {
             );
             assert!(outcome.stats.merge_skew() >= 1.0);
             assert_eq!(sink.data(), &serial[..], "{merge_workers} ranges diverged");
-            validate_records(sink.data(), cs).unwrap();
-        }
-    }
-
-    #[test]
-    fn every_kernel_is_byte_identical_one_pass() {
-        let (data, cs) = generate(GenConfig {
-            records: 5_000,
-            seed: 0x8E41,
-            dist: KeyDistribution::DupHeavy { cardinality: 6 },
-        });
-        let base = SortConfig {
-            run_records: 400,
-            gather_batch: 150,
-            workers: 2,
-            ..Default::default()
-        };
-        let reference = {
-            let mut source = MemSource::new(data.clone(), 8_192);
-            let mut sink = MemSink::new();
-            one_pass(&mut source, &mut sink, &base).unwrap();
-            sink.into_inner()
-        };
-        for kernel in crate::kernels::Kernel::ALL {
-            let cfg = SortConfig {
-                kernel,
-                ..base.clone()
-            };
-            let mut source = MemSource::new(data.clone(), 8_192);
-            let mut sink = MemSink::new();
-            one_pass(&mut source, &mut sink, &cfg).unwrap();
-            assert_eq!(sink.data(), &reference[..], "{} diverged", kernel.name());
             validate_records(sink.data(), cs).unwrap();
         }
     }

@@ -73,7 +73,7 @@ where
     // Absolute byte position within the input.
     let mut abs: u64 = 0;
     let mut cur: Vec<u8> = Vec::with_capacity(run_bytes);
-    let mut pool = SortPool::with_kernel(cfg.workers, cfg.representation, cfg.kernel);
+    let mut pool = SortPool::new(cfg.workers, cfg.representation);
     let spill = |run: &SortedRun, stats: &mut SortStats, scratch: &mut Scr| -> io::Result<()> {
         stats.runs += 1;
         stats.run_lengths.push(run.len() as u64);
@@ -229,7 +229,7 @@ where
             for s in group {
                 streams.push(BufferedRunStream::new(s)?);
             }
-            let mut merger = StreamMerger::new_with_kernel(streams, cfg.kernel.tree());
+            let mut merger = StreamMerger::new(streams);
             timed_phase(
                 obs::phase::SPILL,
                 &mut stats.spill_time,
@@ -273,7 +273,7 @@ where
     for s in sources {
         streams.push(BufferedRunStream::new(s)?);
     }
-    let mut merger = StreamMerger::new_with_kernel(streams, cfg.kernel.tree());
+    let mut merger = StreamMerger::new(streams);
     let mut staging = Vec::with_capacity(cfg.gather_batch * RECORD_LEN);
     let batch_bytes = cfg.gather_batch * RECORD_LEN;
     loop {
@@ -355,7 +355,6 @@ where
     }
 
     let batch_bytes = cfg.gather_batch * RECORD_LEN;
-    let tree_kernel = cfg.kernel.tree();
     let track = obs::current_track();
     let durations = std::thread::scope(|scope| -> io::Result<Vec<Duration>> {
         let mut handles = Vec::with_capacity(range_sources.len());
@@ -380,7 +379,7 @@ where
                 for s in srcs {
                     streams.push(BufferedRunStream::new(s)?);
                 }
-                let mut merger = StreamMerger::new_with_kernel(streams, tree_kernel);
+                let mut merger = StreamMerger::new(streams);
                 let mut staging = Vec::with_capacity(batch_bytes);
                 'merge: loop {
                     let done = loop {

@@ -10,8 +10,8 @@ use alphasort_dmgen::{Record, KEY_LEN};
 
 /// Which record model a sort operates on. The layout is threaded through
 /// [`crate::SortConfig`], both drivers, `sortcli --layout`, and the sortd
-/// job manifest; like the kernel registry, the choice moves CPU time only —
-/// for a given layout every configuration produces byte-identical output.
+/// job manifest; for a given layout every configuration produces
+/// byte-identical output, so the other knobs move CPU time only.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RecordLayout {
     /// Fixed Datamation records: 100 bytes, 10-byte key at offset 0. The

@@ -56,7 +56,6 @@ pub mod gather;
 pub mod io;
 pub mod io_file;
 pub mod kernel;
-pub mod kernels;
 pub mod merge;
 pub mod mergeplan;
 pub mod ovc;
@@ -72,7 +71,6 @@ pub mod varlen;
 
 pub use driver::{ExternalSorter, SortConfig, SortOutcome};
 pub use entry::{key_prefix_u64, CodewordEntry, KeyEntry, PrefixEntry, RecordLayout};
-pub use kernels::Kernel;
 pub use io::{MemSink, MemSource, RecordSink, RecordSource};
 pub use planner::{PassPlan, Planner};
 pub use runform::{Representation, SortedRun};

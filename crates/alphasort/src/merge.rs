@@ -16,7 +16,6 @@
 use alphasort_dmgen::Record;
 
 use crate::entry::checked_run_len;
-use crate::kernels::TreeKernel;
 use crate::rs::LoserTree;
 use crate::runform::SortedRun;
 
@@ -40,7 +39,6 @@ pub struct RunMerger<'a> {
     /// merge, a partition cut for a range-restricted one.
     end: Vec<u32>,
     tree: LoserTree,
-    tree_kernel: TreeKernel,
     remaining: usize,
 }
 
@@ -52,16 +50,11 @@ impl<'a> RunMerger<'a> {
     /// [`crate::entry::MAX_RUN_RECORDS`] index ceiling (the bound arrays
     /// hold 32-bit positions; `r.len() as u32` used to wrap here silently).
     pub fn new(runs: &'a [SortedRun]) -> Self {
-        Self::new_with_kernel(runs, TreeKernel::Branchy)
-    }
-
-    /// [`new`](Self::new) with an explicit tree-replay kernel.
-    pub fn new_with_kernel(runs: &'a [SortedRun], tree_kernel: TreeKernel) -> Self {
         let bounds: Vec<(u32, u32)> = runs
             .iter()
             .map(|r| (0, checked_run_len(r.len(), "RunMerger::new run")))
             .collect();
-        Self::with_bounds_kernel(runs, &bounds, tree_kernel)
+        Self::with_bounds(runs, &bounds)
     }
 
     /// Merge only `bounds[r] = [start, end)` of each run's sorted order —
@@ -73,16 +66,6 @@ impl<'a> RunMerger<'a> {
     /// If `runs` is empty, `bounds` and `runs` disagree in length, or a
     /// bound falls outside its run.
     pub fn with_bounds(runs: &'a [SortedRun], bounds: &[(u32, u32)]) -> Self {
-        Self::with_bounds_kernel(runs, bounds, TreeKernel::Branchy)
-    }
-
-    /// [`with_bounds`](Self::with_bounds) with an explicit tree-replay
-    /// kernel.
-    pub fn with_bounds_kernel(
-        runs: &'a [SortedRun],
-        bounds: &[(u32, u32)],
-        tree_kernel: TreeKernel,
-    ) -> Self {
         assert!(!runs.is_empty(), "need at least one run to merge");
         assert_eq!(bounds.len(), runs.len(), "one bound pair per run");
         let mut pos = Vec::with_capacity(runs.len());
@@ -100,7 +83,6 @@ impl<'a> RunMerger<'a> {
             pos,
             end,
             tree,
-            tree_kernel,
             remaining,
         }
     }
@@ -153,7 +135,7 @@ impl Iterator for RunMerger<'_> {
         self.remaining -= 1;
         let (runs, pos, end) = (self.runs, &self.pos, &self.end);
         self.tree
-            .replay_with(self.tree_kernel, |a, b| Self::leaf_less(runs, pos, end, a, b));
+            .replay(|a, b| Self::leaf_less(runs, pos, end, a, b));
         Some(out)
     }
 
@@ -200,7 +182,6 @@ impl RunStream for SliceStream<'_> {
 pub struct StreamMerger<S: RunStream> {
     streams: Vec<S>,
     tree: LoserTree,
-    tree_kernel: TreeKernel,
 }
 
 impl<S: RunStream> StreamMerger<S> {
@@ -209,18 +190,9 @@ impl<S: RunStream> StreamMerger<S> {
     /// # Panics
     /// If `streams` is empty.
     pub fn new(streams: Vec<S>) -> Self {
-        Self::new_with_kernel(streams, TreeKernel::Branchy)
-    }
-
-    /// [`new`](Self::new) with an explicit tree-replay kernel.
-    pub fn new_with_kernel(streams: Vec<S>, tree_kernel: TreeKernel) -> Self {
         assert!(!streams.is_empty(), "need at least one stream to merge");
         let tree = LoserTree::new(streams.len(), |a, b| Self::leaf_less(&streams, a, b));
-        StreamMerger {
-            streams,
-            tree,
-            tree_kernel,
-        }
+        StreamMerger { streams, tree }
     }
 
     #[inline]
@@ -250,8 +222,7 @@ impl<S: RunStream> StreamMerger<S> {
         };
         self.streams[w].advance()?;
         let streams = &self.streams;
-        self.tree
-            .replay_with(self.tree_kernel, |a, b| Self::leaf_less(streams, a, b));
+        self.tree.replay(|a, b| Self::leaf_less(streams, a, b));
         Ok(Some(out))
     }
 }
@@ -368,15 +339,6 @@ mod tests {
         // Pointer-for-pointer identical: the partition respects both key
         // order and the run-index tie-break.
         assert_eq!(cat, full);
-    }
-
-    #[test]
-    fn branchless_tree_merge_is_pointer_identical() {
-        let (_, runs) = make_runs(2_000, 130, KeyDistribution::DupHeavy { cardinality: 4 });
-        let branchy: Vec<MergedPtr> = RunMerger::new(&runs).collect();
-        let branchless: Vec<MergedPtr> =
-            RunMerger::new_with_kernel(&runs, TreeKernel::Branchless).collect();
-        assert_eq!(branchy, branchless);
     }
 
     #[test]

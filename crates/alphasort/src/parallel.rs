@@ -22,17 +22,16 @@ use alphasort_obs as obs;
 use alphasort_dmgen::RECORD_LEN;
 
 use crate::gather::gather_into;
-use crate::kernels::{Kernel, TreeKernel};
 use crate::merge::{MergedPtr, RunMerger};
-use crate::runform::{form_run_with, Representation, SortedRun};
+use crate::runform::{form_run, Representation, SortedRun};
 use crate::stats::SortStats;
 
 /// Sort one run buffer under an obs span (whether on a worker or inline).
-fn form_run_traced(id: usize, buf: Vec<u8>, rep: Representation, kernel: Kernel) -> (SortedRun, Duration) {
+fn form_run_traced(id: usize, buf: Vec<u8>, rep: Representation) -> (SortedRun, Duration) {
     let mut g = obs::span(obs::phase::SORT);
     g.attr("run", id as u64);
     let t0 = Instant::now();
-    let run = form_run_with(buf, rep, kernel);
+    let run = form_run(buf, rep);
     let d = t0.elapsed();
     g.attr("records", run.len() as u64);
     obs::metrics::observe("sort.run_us", d.as_micros() as u64);
@@ -55,7 +54,6 @@ fn gather_traced(id: u64, runs: &[SortedRun], ptrs: &[MergedPtr]) -> (Vec<u8>, D
 /// Pool of workers QuickSorting run buffers as they arrive from input.
 pub struct SortPool {
     rep: Representation,
-    kernel: Kernel,
     tx: Option<Sender<(usize, Vec<u8>)>>,
     rx: Receiver<(usize, SortedRun, Duration)>,
     handles: Vec<JoinHandle<()>>,
@@ -66,14 +64,8 @@ pub struct SortPool {
 }
 
 impl SortPool {
-    /// Create a pool with `workers` threads (0 = sort inline on submit),
-    /// forming runs with the scalar kernel.
+    /// Create a pool with `workers` threads (0 = sort inline on submit).
     pub fn new(workers: usize, rep: Representation) -> Self {
-        Self::with_kernel(workers, rep, Kernel::Scalar)
-    }
-
-    /// [`new`](Self::new) with an explicit run-formation kernel.
-    pub fn with_kernel(workers: usize, rep: Representation, kernel: Kernel) -> Self {
         let (tx, work_rx) = channel::<(usize, Vec<u8>)>();
         // std mpsc receivers are single-consumer; workers share one behind a
         // mutex, holding the lock only while dequeuing (MPMC work queue).
@@ -94,7 +86,7 @@ impl SortPool {
                         loop {
                             let msg = work_rx.lock().unwrap().recv();
                             let Ok((id, buf)) = msg else { break };
-                            let (run, d) = form_run_traced(id, buf, rep, kernel);
+                            let (run, d) = form_run_traced(id, buf, rep);
                             let _ = res_tx.send((id, run, d));
                         }
                     })
@@ -103,7 +95,6 @@ impl SortPool {
             .collect();
         SortPool {
             rep,
-            kernel,
             tx: if workers > 0 { Some(tx) } else { None },
             rx,
             handles,
@@ -121,7 +112,7 @@ impl SortPool {
         match &self.tx {
             Some(tx) => tx.send((id, buf)).expect("sort workers gone"),
             None => {
-                let (run, d) = form_run_traced(id, buf, self.rep, self.kernel);
+                let (run, d) = form_run_traced(id, buf, self.rep);
                 self.parked.insert(id, (run, d));
             }
         }
@@ -312,14 +303,13 @@ fn merge_range_traced(
     range: usize,
     runs: &[SortedRun],
     bounds: &[(u32, u32)],
-    tree_kernel: TreeKernel,
 ) -> (Vec<u8>, Duration) {
     let mut g = obs::span(obs::phase::MERGE);
     g.attr("range", range as u64);
     let t0 = Instant::now();
     let records: usize = bounds.iter().map(|&(s, e)| (e - s) as usize).sum();
     let mut buf = Vec::with_capacity(records * RECORD_LEN);
-    for p in RunMerger::with_bounds_kernel(runs, bounds, tree_kernel) {
+    for p in RunMerger::with_bounds(runs, bounds) {
         buf.extend_from_slice(runs[p.run as usize].record_at(p.pos as usize).as_bytes());
     }
     let d = t0.elapsed();
@@ -337,7 +327,6 @@ type RangeJob = (usize, Vec<(u32, u32)>);
 /// range order**, which concatenates to the serial merge's output.
 pub struct MergePool {
     runs: Arc<Vec<SortedRun>>,
-    tree_kernel: TreeKernel,
     tx: Option<Sender<RangeJob>>,
     rx: Receiver<(usize, Vec<u8>, Duration)>,
     handles: Vec<JoinHandle<()>>,
@@ -348,14 +337,8 @@ pub struct MergePool {
 }
 
 impl MergePool {
-    /// Create a pool with `workers` threads (0 = merge inline on submit),
-    /// replaying the tournament in branchy (baseline) form.
+    /// Create a pool with `workers` threads (0 = merge inline on submit).
     pub fn new(workers: usize, runs: Arc<Vec<SortedRun>>) -> Self {
-        Self::with_kernel(workers, runs, TreeKernel::Branchy)
-    }
-
-    /// [`new`](Self::new) with an explicit tree-replay kernel.
-    pub fn with_kernel(workers: usize, runs: Arc<Vec<SortedRun>>, tree_kernel: TreeKernel) -> Self {
         let (tx, work_rx) = channel::<RangeJob>();
         // Shared single receiver behind a mutex, as in `SortPool::new`.
         let work_rx = Arc::new(Mutex::new(work_rx));
@@ -374,7 +357,7 @@ impl MergePool {
                         loop {
                             let msg = work_rx.lock().unwrap().recv();
                             let Ok((id, bounds)) = msg else { break };
-                            let (buf, d) = merge_range_traced(id, &runs, &bounds, tree_kernel);
+                            let (buf, d) = merge_range_traced(id, &runs, &bounds);
                             let _ = res_tx.send((id, buf, d));
                         }
                     })
@@ -383,7 +366,6 @@ impl MergePool {
             .collect();
         MergePool {
             runs,
-            tree_kernel,
             tx: if workers > 0 { Some(tx) } else { None },
             rx,
             handles,
@@ -401,7 +383,7 @@ impl MergePool {
         match &self.tx {
             Some(tx) => tx.send((id, bounds)).expect("merge workers gone"),
             None => {
-                let (buf, d) = merge_range_traced(id, &self.runs, &bounds, self.tree_kernel);
+                let (buf, d) = merge_range_traced(id, &self.runs, &bounds);
                 self.parked.insert(id, (buf, d));
             }
         }

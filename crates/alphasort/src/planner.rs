@@ -47,19 +47,6 @@ impl Planner {
         }
     }
 
-    /// Plan the pass structure *and* the hot-path kernel. Today the planner
-    /// forwards the caller's requested kernel unchanged — every registered
-    /// kernel is byte-identical, so the choice is pure CPU policy — but the
-    /// kernel decision sits in the planning path so a future cost model
-    /// (e.g. radix only when runs exceed the cache) has one place to live.
-    pub fn plan_with_kernel(
-        &self,
-        input_bytes: u64,
-        requested: crate::kernels::Kernel,
-    ) -> (PassPlan, crate::kernels::Kernel) {
-        (self.plan(input_bytes), requested)
-    }
-
     /// Size the two-pass knobs for an input of `input_bytes`:
     /// run size (one memory-full of records), merge fan-in (bounded by the
     /// read-ahead buffers the merge needs), and the resulting cascade depth.
@@ -172,19 +159,6 @@ mod tests {
             remaining = remaining.div_ceil(plan.max_fanin as u64);
         }
         assert!(remaining <= plan.max_fanin as u64);
-    }
-
-    #[test]
-    fn kernel_planning_forwards_the_request_and_agrees_with_plan() {
-        let p = Planner::new(110 << 20);
-        for k in crate::kernels::Kernel::ALL {
-            let (plan, kernel) = p.plan_with_kernel(100 << 20, k);
-            assert_eq!(plan, p.plan(100 << 20));
-            assert_eq!(kernel, k);
-            let (plan, kernel) = p.plan_with_kernel(1 << 30, k);
-            assert_eq!(plan, PassPlan::TwoPass);
-            assert_eq!(kernel, k);
-        }
     }
 
     #[test]

@@ -229,7 +229,7 @@ pub fn plan_var_partitions_with<E>(
 /// Plan over in-memory [`crate::varlen::VarRun`]s: probes are free and
 /// cannot fail.
 pub fn plan_var_mem_partitions(
-    runs: &[crate::varlen::VarRun],
+    runs: &[&crate::varlen::VarRun],
     ranges: usize,
     samples_per_range: usize,
 ) -> VarMergePartition {
@@ -371,8 +371,9 @@ mod tests {
         }
         runs.push(VarRun::from_frames(cur).unwrap());
         let lens: Vec<u64> = runs.iter().map(|r| r.len() as u64).collect();
+        let refs: Vec<&VarRun> = runs.iter().collect();
         for ranges in [1, 2, 4, 8] {
-            let plan = plan_var_mem_partitions(&runs, ranges, SAMPLES_PER_RANGE);
+            let plan = plan_var_mem_partitions(&refs, ranges, SAMPLES_PER_RANGE);
             assert_eq!(plan.ranges(), ranges);
             assert_eq!(plan.splitters.len(), ranges - 1);
             // Same cover/disjointness invariant as the fixed-layout plan.

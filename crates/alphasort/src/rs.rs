@@ -15,8 +15,6 @@
 
 use alphasort_dmgen::Record;
 
-use crate::kernels::TreeKernel;
-
 /// A tournament ("loser") tree over `k` external items.
 ///
 /// The tree stores only leaf *indices*; the caller owns the items and
@@ -118,52 +116,6 @@ impl LoserTree {
             t /= 2;
         }
         self.winner = s;
-    }
-
-    /// [`LoserTree::replay`] with the win/lose update in conditional-move
-    /// form: the comparison outcome becomes an all-ones/all-zeros mask and
-    /// both node and challenger are recomputed by select, so there is no
-    /// data-dependent branch in the root walk. The paper's replay is a
-    /// pseudo-random path of coin-flip comparisons — the worst case for a
-    /// branch predictor — which is exactly what this variant removes.
-    ///
-    /// The virtual-leaf guards stay: they test *fixed* leaf positions
-    /// (≥ `k`, set at construction), so they are data-independent, and they
-    /// are load-bearing — `less` indexes caller arrays of length `k`.
-    pub fn replay_branchless<F: FnMut(usize, usize) -> bool>(&mut self, mut less: F) {
-        let k = self.k;
-        let mut beats = |a: u32, b: u32| -> bool {
-            let (a, b) = (a as usize, b as usize);
-            if a >= k {
-                return false;
-            }
-            if b >= k {
-                return true;
-            }
-            less(a, b)
-        };
-        let mut s = self.winner;
-        let mut t = (self.cap + s as usize) / 2;
-        while t >= 1 {
-            let l = self.loser[t];
-            let m = (beats(l, s) as u32).wrapping_neg();
-            self.loser[t] = (s & m) | (l & !m);
-            s = (l & m) | (s & !m);
-            if t == 1 {
-                break;
-            }
-            t /= 2;
-        }
-        self.winner = s;
-    }
-
-    /// Replay dispatching on the registry's [`TreeKernel`] choice.
-    #[inline]
-    pub fn replay_with<F: FnMut(usize, usize) -> bool>(&mut self, kernel: TreeKernel, less: F) {
-        match kernel {
-            TreeKernel::Branchy => self.replay(less),
-            TreeKernel::Branchless => self.replay_branchless(less),
-        }
     }
 }
 
@@ -324,39 +276,6 @@ mod tests {
         let mut expect = vals.to_vec();
         expect.sort_unstable();
         assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn branchless_replay_matches_branchy_drain() {
-        // Drain two identical tournaments, one per replay variant; winner
-        // sequences must be identical at every width (incl. virtual-leaf
-        // padding widths).
-        let mut state = 0xF00Du64;
-        for k in [1usize, 2, 3, 5, 8, 13, 16, 31] {
-            let vals: Vec<u64> = (0..k)
-                .map(|_| {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    state % 7 // heavy ties: exercise the tie-break paths
-                })
-                .collect();
-            let cmp = |taken: &Vec<bool>, a: usize, b: usize| match (taken[a], taken[b]) {
-                (true, _) => false,
-                (false, true) => true,
-                (false, false) => (vals[a], a) < (vals[b], b),
-            };
-            let mut taken_a = vec![false; k];
-            let mut taken_b = vec![false; k];
-            let mut tree_a = LoserTree::new(k, |a, b| cmp(&taken_a, a, b));
-            let mut tree_b = LoserTree::new(k, |a, b| cmp(&taken_b, a, b));
-            for step in 0..k {
-                let (wa, wb) = (tree_a.winner(), tree_b.winner());
-                assert_eq!(wa, wb, "k={k} step={step}");
-                taken_a[wa] = true;
-                taken_b[wb] = true;
-                tree_a.replay_with(TreeKernel::Branchy, |a, b| cmp(&taken_a, a, b));
-                tree_b.replay_with(TreeKernel::Branchless, |a, b| cmp(&taken_b, a, b));
-            }
-        }
     }
 
     #[test]

@@ -11,12 +11,17 @@
 //! slower than key sort", and a further 25% QuickSort improvement from the
 //! prefix. `exp_variants` and the `sort_variants` bench reproduce those
 //! ratios with these implementations.
+//!
+//! Production `KeyPrefix` run formation ([`form_run`]) adds one step in
+//! front of the QuickSort: a 256-bucket scatter on the prefix's top byte
+//! ([`radix_prefix_order`]), the distributive pass the paper's footnote
+//! says "might beat AlphaSort". [`key_prefix_order`] stays as the plain
+//! §4 QuickSort the experiments measure and the tests compare against.
 
 use alphasort_dmgen::{records_of, records_of_mut, Record, RECORD_LEN};
 
 use crate::entry::{KeyEntry, PrefixEntry};
 use crate::kernel::quicksort_by;
-use crate::kernels::{prefix_entry_less, Kernel, RunFormKernel};
 
 /// Which sort-array representation run formation uses.
 ///
@@ -115,24 +120,13 @@ impl SortedRun {
     }
 }
 
-/// Form a sorted run from a record buffer using `rep` and the scalar
-/// (oracle) kernel.
+/// Form a sorted run from a record buffer using `rep`. `KeyPrefix` sorts
+/// with [`radix_prefix_order`], whose permutation is identical to
+/// [`key_prefix_order`]'s.
 ///
 /// # Panics
 /// If `buf.len()` is not a multiple of the record length.
-pub fn form_run(buf: Vec<u8>, rep: Representation) -> SortedRun {
-    form_run_with(buf, rep, Kernel::Scalar)
-}
-
-/// Form a sorted run using `rep`, selecting the run-formation hot loop from
-/// the kernel registry. Only the `KeyPrefix` representation has registered
-/// variants (it is the paper's representation and the one the registry
-/// optimizes); every other representation sorts with the scalar QuickSort
-/// regardless of `kernel`. All kernels produce byte-identical runs.
-///
-/// # Panics
-/// If `buf.len()` is not a multiple of the record length.
-pub fn form_run_with(mut buf: Vec<u8>, rep: Representation, kernel: Kernel) -> SortedRun {
+pub fn form_run(mut buf: Vec<u8>, rep: Representation) -> SortedRun {
     match rep {
         Representation::Record => {
             sort_records_in_place(&mut buf);
@@ -153,11 +147,7 @@ pub fn form_run_with(mut buf: Vec<u8>, rep: Representation, kernel: Kernel) -> S
             }
         }
         Representation::KeyPrefix => {
-            let order = match kernel.runform() {
-                RunFormKernel::Quicksort => key_prefix_order(&buf),
-                RunFormKernel::Radix => crate::kernels::radix_prefix_order(&buf),
-                RunFormKernel::Network => crate::kernels::network_prefix_order(&buf),
-            };
+            let order = radix_prefix_order(&buf);
             SortedRun {
                 buf,
                 order: Some(order),
@@ -202,6 +192,18 @@ pub fn key_order(buf: &[u8]) -> Vec<u32> {
     entries.into_iter().map(|e| e.idx).collect()
 }
 
+/// The key-prefix order: prefix first, full key on prefix ties, arrival
+/// index last (which makes the order total and the sorted permutation
+/// unique).
+#[inline]
+pub fn prefix_entry_less(records: &[Record], a: &PrefixEntry, b: &PrefixEntry) -> bool {
+    if a.prefix != b.prefix {
+        a.prefix < b.prefix
+    } else {
+        (&records[a.idx as usize].key, a.idx) < (&records[b.idx as usize].key, b.idx)
+    }
+}
+
 /// AlphaSort's key-prefix sort: integer compares on the 8-byte prefix,
 /// full-key fall-through only on ties.
 pub fn key_prefix_order(buf: &[u8]) -> Vec<u32> {
@@ -209,6 +211,42 @@ pub fn key_prefix_order(buf: &[u8]) -> Vec<u32> {
     let mut entries = PrefixEntry::extract(records);
     quicksort_by(&mut entries, |a, b| prefix_entry_less(records, a, b));
     entries.into_iter().map(|e| e.idx).collect()
+}
+
+/// Key-prefix sort with a distributive first pass (DPG): one counting pass
+/// over the prefix's top byte scatters the entries into 256 buckets, then
+/// each bucket QuickSorts under [`prefix_entry_less`]. The bucket key is
+/// the comparator's most significant byte, so the result is exactly
+/// [`key_prefix_order`]'s permutation, reached through 256 small
+/// cache-resident sorts instead of one large one.
+pub fn radix_prefix_order(buf: &[u8]) -> Vec<u32> {
+    let records = records_of(buf);
+    let entries = PrefixEntry::extract(records);
+    let less = |x: &PrefixEntry, y: &PrefixEntry| prefix_entry_less(records, x, y);
+    let mut counts = [0usize; 256];
+    for e in &entries {
+        counts[(e.prefix >> 56) as usize] += 1;
+    }
+    let mut starts = [0usize; 256];
+    let mut acc = 0usize;
+    for b in 0..256 {
+        starts[b] = acc;
+        acc += counts[b];
+    }
+    let mut bucketed = vec![PrefixEntry { prefix: 0, idx: 0 }; entries.len()];
+    let mut cursor = starts;
+    for e in entries {
+        let b = (e.prefix >> 56) as usize;
+        bucketed[cursor[b]] = e;
+        cursor[b] += 1;
+    }
+    for b in 0..256 {
+        let (s, e) = (starts[b], starts[b] + counts[b]);
+        if e - s > 1 {
+            quicksort_by(&mut bucketed[s..e], less);
+        }
+    }
+    bucketed.into_iter().map(|e| e.idx).collect()
 }
 
 /// Baer & Lin codeword sort: 8-byte (u32 codeword, u32 index) entries —
@@ -274,27 +312,6 @@ mod tests {
             let run = form_run(data.clone(), rep);
             let keys: Vec<[u8; 10]> = run.iter_sorted().map(|r| r.key).collect();
             assert_eq!(keys, reference, "{} disagrees", rep.name());
-        }
-    }
-
-    #[test]
-    fn every_kernel_forms_an_identical_key_prefix_run() {
-        for dist in [
-            KeyDistribution::Random,
-            KeyDistribution::DupHeavy { cardinality: 2 },
-            KeyDistribution::CommonPrefix { shared: 8 },
-        ] {
-            let data = dataset(1_200, dist);
-            let reference: Vec<u32> = key_prefix_order(&data);
-            for kernel in Kernel::ALL {
-                let run = form_run_with(data.clone(), Representation::KeyPrefix, kernel);
-                assert_eq!(
-                    run.order.as_deref(),
-                    Some(&reference[..]),
-                    "{} on {dist:?}",
-                    kernel.name()
-                );
-            }
         }
     }
 

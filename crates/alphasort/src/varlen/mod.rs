@@ -15,15 +15,15 @@
 //!   tree: tree replays resolve on offsets alone where they differ and
 //!   compare only key *suffixes* where they tie, so shared prefixes are
 //!   never rescanned. [`MergeEffort`](crate::ovc::MergeEffort) counts key
-//!   bytes touched; the bench trajectory holds OVC against the naive
-//!   full-key merge.
+//!   bytes touched; `perfbench`'s `str-urls` workload reports them
+//!   (`varlen.ovc_key_bytes`).
 //! * **Drivers** ([`vdriver`]) mirror the fixed one-pass/two-pass shape:
 //!   overlapped run formation, serial or splitter-partitioned merges
 //!   (byte-identical either way), and resumable two-pass runs.
 //!
-//! Layout choice moves CPU time only: for a given input every kernel,
-//! worker count, and merge mode produces byte-identical output, pinned by
-//! the differential oracle.
+//! Layout choice moves CPU time only: for a given input every worker
+//! count and merge mode produces byte-identical output, pinned by the
+//! differential oracle.
 
 pub mod vdriver;
 pub mod vmerge;

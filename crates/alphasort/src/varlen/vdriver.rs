@@ -28,7 +28,7 @@ use crate::driver::{RecoveredRun, SortConfig, SortOutcome};
 use crate::gather::gather_var_into;
 use crate::io::{RecordSink, RecordSource};
 use crate::planner::PassPlan;
-use crate::pmerge::{plan_var_partitions_with, VarMergePartition, SAMPLES_PER_RANGE};
+use crate::pmerge::{plan_var_mem_partitions, SAMPLES_PER_RANGE};
 use crate::splitter::{byte_splitters_from_keys, route_bytes};
 use crate::stats::{timed_phase, SortStats};
 use crate::varlen::vmerge::{MergeMode, VarRunCursor, VarRunMerger, VarStreamMerger};
@@ -65,23 +65,25 @@ fn form_runs(bufs: Vec<Vec<u8>>, workers: usize) -> io::Result<Vec<VarRun>> {
         .collect()
 }
 
-/// Partitioned merge + gather of `runs` under `plan`, one range per scoped
-/// thread, buffers returned in range order. Range routing is a pure
+/// Plan and run the partitioned merge + gather of `runs` (in input
+/// order) into `cfg.merge_workers` key ranges, one range per scoped
+/// thread, buffers written in range order. Range routing is a pure
 /// function of the key and each range keeps the run-index tie-break, so
 /// the concatenation is byte-identical to the serial merge.
 fn partitioned_merge(
-    runs: &[VarRun],
-    plan: &VarMergePartition,
+    runs: &[&VarRun],
     cfg: &SortConfig,
     stats: &mut SortStats,
     sink: &mut impl RecordSink,
 ) -> io::Result<()> {
-    let tree_kernel = cfg.kernel.tree();
+    let plan = timed_phase(obs::phase::MERGE, &mut stats.merge_time, || {
+        plan_var_mem_partitions(runs, cfg.merge_workers, SAMPLES_PER_RANGE)
+    });
+    stats.merge_range_records = plan.range_records.clone();
     let track = obs::current_track();
     let outputs = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(plan.ranges());
         for (range, row) in plan.bounds.iter().enumerate() {
-            let refs: Vec<&VarRun> = runs.iter().collect();
             let records = plan.range_records[range];
             let track = track.clone();
             handles.push(scope.spawn(move || {
@@ -92,11 +94,9 @@ fn partitioned_merge(
                 let t0 = Instant::now();
                 let bounds: Vec<(u32, u32)> =
                     row.iter().map(|&(s, e)| (s as u32, e as u32)).collect();
-                let gather: Vec<&VarRun> = refs.clone();
                 let mut out = Vec::new();
-                for p in VarRunMerger::with_bounds_kernel(refs, &bounds, MergeMode::Ovc, tree_kernel)
-                {
-                    out.extend_from_slice(gather[p.run as usize].frame_at(p.pos as usize));
+                for p in VarRunMerger::with_bounds(runs.to_vec(), &bounds, MergeMode::Ovc) {
+                    out.extend_from_slice(runs[p.run as usize].frame_at(p.pos as usize));
                 }
                 (out, t0.elapsed())
             }));
@@ -179,22 +179,11 @@ where
     }
 
     // ---- merge + gather + output ------------------------------------------
+    let refs: Vec<&VarRun> = runs.iter().collect();
     if cfg.merge_workers > 0 {
-        let lens: Vec<u64> = runs.iter().map(|r| r.len() as u64).collect();
-        let plan = timed_phase(obs::phase::MERGE, &mut stats.merge_time, || {
-            let p = plan_var_partitions_with(&lens, cfg.merge_workers, SAMPLES_PER_RANGE, |r, pos| {
-                Ok::<_, std::convert::Infallible>(runs[r].key_at(pos as usize).to_vec())
-            });
-            match p {
-                Ok(p) => p,
-                Err(e) => match e {},
-            }
-        });
-        stats.merge_range_records = plan.range_records.clone();
-        partitioned_merge(&runs, &plan, cfg, &mut stats, sink)?;
+        partitioned_merge(&refs, cfg, &mut stats, sink)?;
     } else {
-        let refs: Vec<&VarRun> = runs.iter().collect();
-        let mut merger = VarRunMerger::new_with_kernel(refs, MergeMode::Ovc, cfg.kernel.tree());
+        let mut merger = VarRunMerger::new(refs, MergeMode::Ovc);
         let mut ptrs = Vec::with_capacity(cfg.gather_batch);
         loop {
             ptrs.clear();
@@ -439,59 +428,12 @@ where
     // ---- pass 2: final merge in input order -------------------------------
     let refs = scratch.runs_in_input_order();
     if cfg.merge_workers > 0 {
-        let lens: Vec<u64> = refs.iter().map(|r| r.len() as u64).collect();
-        let plan = timed_phase(obs::phase::MERGE, &mut stats.merge_time, || {
-            let p = plan_var_partitions_with(&lens, cfg.merge_workers, SAMPLES_PER_RANGE, |r, pos| {
-                Ok::<_, std::convert::Infallible>(refs[r].key_at(pos as usize).to_vec())
-            });
-            match p {
-                Ok(p) => p,
-                Err(e) => match e {},
-            }
-        });
-        stats.merge_range_records = plan.range_records.clone();
-        let tree_kernel = cfg.kernel.tree();
-        let track = obs::current_track();
-        let outputs = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(plan.ranges());
-            for (range, row) in plan.bounds.iter().enumerate() {
-                let refs = refs.clone();
-                let records = plan.range_records[range];
-                let track = track.clone();
-                handles.push(scope.spawn(move || {
-                    obs::adopt_track(track);
-                    let mut g = obs::span(obs::phase::MERGE);
-                    g.attr("range", range as u64);
-                    g.attr("records", records);
-                    let t0 = Instant::now();
-                    let bounds: Vec<(u32, u32)> =
-                        row.iter().map(|&(s, e)| (s as u32, e as u32)).collect();
-                    let gather = refs.clone();
-                    let mut out = Vec::new();
-                    for p in
-                        VarRunMerger::with_bounds_kernel(refs, &bounds, MergeMode::Ovc, tree_kernel)
-                    {
-                        out.extend_from_slice(gather[p.run as usize].frame_at(p.pos as usize));
-                    }
-                    (out, t0.elapsed())
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("range merge thread"))
-                .collect::<Vec<_>>()
-        });
-        for (buf, d) in outputs {
-            stats.merge_time += d;
-            stats.merge_range_time.push(d);
-            timed_phase(obs::phase::WRITE, &mut stats.write_wait, || sink.push(&buf))?;
-        }
+        partitioned_merge(&refs, cfg, &mut stats, sink)?;
     } else {
         // Serial: stream cursors supply formation-time LCP hints, so the
         // winner's successor offset is O(1) here too.
         let cursors: Vec<VarRunCursor> = refs.iter().map(|r| VarRunCursor::new(r)).collect();
-        let mut merger =
-            VarStreamMerger::new_with_kernel(cursors, MergeMode::Ovc, cfg.kernel.tree());
+        let mut merger = VarStreamMerger::new(cursors, MergeMode::Ovc);
         let mut staging: Vec<u8> = Vec::new();
         loop {
             let done = timed_phase(

@@ -17,14 +17,13 @@
 //! run formation: O(1), no rescan.
 //!
 //! [`MergeMode::Naive`] runs the same tournament with whole-key compares;
-//! [`MergeEffort`] counts both so the bench trajectory can show the
-//! shared-prefix corpora where OVC wins (and the random-key corpora where
-//! the paper predicts it will not).
+//! [`MergeEffort`] counts both, so benchmarks can show the shared-prefix
+//! corpora where OVC wins (and the random-key corpora where the paper
+//! predicts it will not).
 
 use std::io;
 
 use crate::entry::checked_run_len;
-use crate::kernels::TreeKernel;
 use crate::merge::MergedPtr;
 use crate::ovc::MergeEffort;
 use crate::rs::LoserTree;
@@ -115,7 +114,6 @@ pub struct VarRunMerger<'a> {
     /// `off[h]` = exact LCP of head `h`'s key with the last emitted key.
     off: Vec<u32>,
     tree: LoserTree,
-    tree_kernel: TreeKernel,
     mode: MergeMode,
     remaining: usize,
     /// Comparison-effort counters (built up across the whole merge).
@@ -128,16 +126,11 @@ impl<'a> VarRunMerger<'a> {
     /// # Panics
     /// If `runs` is empty or a run exceeds the 32-bit index ceiling.
     pub fn new(runs: Vec<&'a VarRun>, mode: MergeMode) -> Self {
-        Self::new_with_kernel(runs, mode, TreeKernel::Branchy)
-    }
-
-    /// [`new`](Self::new) with an explicit tree-replay kernel.
-    pub fn new_with_kernel(runs: Vec<&'a VarRun>, mode: MergeMode, tree_kernel: TreeKernel) -> Self {
         let bounds: Vec<(u32, u32)> = runs
             .iter()
             .map(|r| (0, checked_run_len(r.len(), "VarRunMerger::new run")))
             .collect();
-        Self::with_bounds_kernel(runs, &bounds, mode, tree_kernel)
+        Self::with_bounds(runs, &bounds, mode)
     }
 
     /// Merge only `bounds[r] = [start, end)` of each run's sorted order —
@@ -145,12 +138,7 @@ impl<'a> VarRunMerger<'a> {
     /// index, so concatenating range merges planned by
     /// [`crate::pmerge::plan_var_partitions_with`] reproduces the serial
     /// merge byte for byte.
-    pub fn with_bounds_kernel(
-        runs: Vec<&'a VarRun>,
-        bounds: &[(u32, u32)],
-        mode: MergeMode,
-        tree_kernel: TreeKernel,
-    ) -> Self {
+    pub fn with_bounds(runs: Vec<&'a VarRun>, bounds: &[(u32, u32)], mode: MergeMode) -> Self {
         assert!(!runs.is_empty(), "need at least one run to merge");
         assert_eq!(bounds.len(), runs.len(), "one bound pair per run");
         let mut pos = Vec::with_capacity(runs.len());
@@ -176,7 +164,6 @@ impl<'a> VarRunMerger<'a> {
             end,
             off,
             tree,
-            tree_kernel,
             mode,
             remaining,
             effort,
@@ -202,7 +189,6 @@ impl Iterator for VarRunMerger<'_> {
             end,
             off,
             tree,
-            tree_kernel,
             mode,
             remaining,
             effort,
@@ -250,9 +236,7 @@ impl Iterator for VarRunMerger<'_> {
                 off[w] = runs[w].lcp_with_prev(pos[w] as usize) as u32;
             }
         }
-        tree.replay_with(*tree_kernel, |a, b| {
-            leaf_less(runs, pos, end, off, *mode, effort, a, b)
-        });
+        tree.replay(|a, b| leaf_less(runs, pos, end, off, *mode, effort, a, b));
         Some(out)
     }
 
@@ -354,7 +338,6 @@ pub struct VarStreamMerger<S: VarRunStream> {
     /// The last emitted key (the OVC base), owned.
     base: Vec<u8>,
     tree: LoserTree,
-    tree_kernel: TreeKernel,
     mode: MergeMode,
     /// Comparison-effort counters.
     pub effort: MergeEffort,
@@ -366,11 +349,6 @@ impl<S: VarRunStream> VarStreamMerger<S> {
     /// # Panics
     /// If `streams` is empty.
     pub fn new(streams: Vec<S>, mode: MergeMode) -> Self {
-        Self::new_with_kernel(streams, mode, TreeKernel::Branchy)
-    }
-
-    /// [`new`](Self::new) with an explicit tree-replay kernel.
-    pub fn new_with_kernel(streams: Vec<S>, mode: MergeMode, tree_kernel: TreeKernel) -> Self {
         assert!(!streams.is_empty(), "need at least one stream to merge");
         let off = vec![0u32; streams.len()];
         let mut effort = MergeEffort::default();
@@ -382,7 +360,6 @@ impl<S: VarRunStream> VarStreamMerger<S> {
             off,
             base: Vec::new(),
             tree,
-            tree_kernel,
             mode,
             effort,
         }
@@ -396,7 +373,6 @@ impl<S: VarRunStream> VarStreamMerger<S> {
             off,
             base,
             tree,
-            tree_kernel,
             mode,
             effort,
         } = self;
@@ -446,9 +422,7 @@ impl<S: VarRunStream> VarStreamMerger<S> {
                 }
             };
         }
-        tree.replay_with(*tree_kernel, |a, b| {
-            stream_leaf_less(streams, off, *mode, effort, a, b)
-        });
+        tree.replay(|a, b| stream_leaf_less(streams, off, *mode, effort, a, b));
         Ok(true)
     }
 }
@@ -569,24 +543,9 @@ mod tests {
         let mut cat = Vec::new();
         for row in &plan.bounds {
             let b: Vec<(u32, u32)> = row.iter().map(|&(s, e)| (s as u32, e as u32)).collect();
-            cat.extend(VarRunMerger::with_bounds_kernel(
-                refs.clone(),
-                &b,
-                MergeMode::Ovc,
-                TreeKernel::Branchy,
-            ));
+            cat.extend(VarRunMerger::with_bounds(refs.clone(), &b, MergeMode::Ovc));
         }
         assert_eq!(cat, full);
-    }
-
-    #[test]
-    fn branchless_replay_is_pointer_identical() {
-        let (_, runs) = runs_of(TextCorpus::LogLines, 700, 90, 4);
-        let refs: Vec<&VarRun> = runs.iter().collect();
-        let a: Vec<MergedPtr> = VarRunMerger::new(refs.clone(), MergeMode::Ovc).collect();
-        let b: Vec<MergedPtr> =
-            VarRunMerger::new_with_kernel(refs, MergeMode::Ovc, TreeKernel::Branchless).collect();
-        assert_eq!(a, b);
     }
 
     #[test]

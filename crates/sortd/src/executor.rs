@@ -140,7 +140,6 @@ pub fn config_for(spec: &JobSpec) -> SortConfig {
         memory_budget: spec.mem_budget,
         merge_workers: spec.merge_workers,
         gather_batch: run_records.min(10_000),
-        kernel: spec.kernel,
         layout: spec.layout,
         ..SortConfig::default()
     }

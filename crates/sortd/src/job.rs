@@ -8,13 +8,24 @@
 //! forever — and against the plan the budgets imply (a two-pass job whose
 //! scratch budget cannot hold its runs is equally hopeless).
 
-use alphasort_core::{Kernel, PassPlan, Planner, RecordLayout};
+use alphasort_core::{PassPlan, Planner, RecordLayout};
 use alphasort_dmgen::RECORD_LEN;
 use alphasort_minijson::Json;
 
 /// Smallest admissible memory budget: enough for one modest run buffer
 /// plus entry arrays. Requests below this are rejected as too small.
 pub const MIN_JOB_MEM: u64 = 64 * 1024;
+
+/// Largest admissible `merge_workers`. Each merge worker is a thread (and,
+/// in a two-pass merge, one open source per run), so an unbounded wire
+/// value would let one manifest exhaust the daemon's threads.
+pub const MAX_MERGE_WORKERS: usize = 64;
+
+/// Values of the `kernel` field that manifests and journal records written
+/// by earlier daemons carry. Every named variant sorted to identical bytes
+/// and run formation now has one path, so the field is accepted and
+/// ignored; any other value is still a manifest error.
+const LEGACY_KERNEL_NAMES: [&str; 4] = ["scalar", "branchless-tree", "radix", "simd"];
 
 /// What a client asks for: input size plus resource budgets.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,12 +39,9 @@ pub struct JobSpec {
     /// Scratch budget in bytes (two-pass spill space); may be 0 for jobs
     /// small enough to sort in one pass under `mem_budget`.
     pub scratch_budget: u64,
-    /// Key ranges for the partitioned parallel merge (0 = serial).
+    /// Key ranges for the partitioned parallel merge (0 = serial, at most
+    /// [`MAX_MERGE_WORKERS`]).
     pub merge_workers: usize,
-    /// Hot-path kernel variant (see `alphasort_core::kernels`). Optional on
-    /// the wire; absent means the scalar oracle, so old clients keep
-    /// working unchanged.
-    pub kernel: Kernel,
     /// Record model (see `alphasort_core::entry::RecordLayout`). Optional
     /// on the wire; absent means fixed Datamation records, so old clients
     /// keep working unchanged. `varlen` streams length-prefixed frames with
@@ -61,7 +69,6 @@ impl Default for JobSpec {
             mem_budget: 0,
             scratch_budget: 0,
             merge_workers: 0,
-            kernel: Kernel::Scalar,
             layout: RecordLayout::Datamation,
             idem_key: None,
             deadline_ms: 0,
@@ -79,7 +86,6 @@ impl JobSpec {
             ("mem_budget".into(), Json::from(self.mem_budget)),
             ("scratch_budget".into(), Json::from(self.scratch_budget)),
             ("merge_workers".into(), Json::from(self.merge_workers as u64)),
-            ("kernel".into(), Json::from(self.kernel.name())),
         ];
         if self.layout != RecordLayout::Datamation {
             fields.push(("layout".into(), Json::from(self.layout.name())));
@@ -93,20 +99,20 @@ impl JobSpec {
         Json::Obj(fields)
     }
 
-    /// Parse from a submit frame. `kernel` is optional (default scalar), as
-    /// is `layout` (default `datamation`); an *unknown* kernel or layout
-    /// name is a manifest error, not a silent default — the client asked
-    /// for something this daemon does not register. `idem_key` and
-    /// `deadline_ms` are equally optional, so pre-journal clients keep
-    /// working unchanged.
+    /// Parse from a submit frame. `layout` is optional (default
+    /// `datamation`); an *unknown* layout name is a manifest error, not a
+    /// silent default — the client asked for something this daemon does
+    /// not register. `idem_key` and `deadline_ms` are equally optional, so
+    /// pre-journal clients keep working unchanged. A legacy `kernel` field
+    /// naming one of the old variants is ignored; any other value is
+    /// rejected.
     pub fn from_json(doc: &Json) -> Result<JobSpec, String> {
-        let kernel = match doc.get("kernel") {
-            None => Kernel::Scalar,
-            Some(v) => {
-                let name = v.as_str().ok_or("kernel: expected a string")?;
-                Kernel::from_name(name).ok_or_else(|| format!("unknown kernel {name:?}"))?
+        if let Some(v) = doc.get("kernel") {
+            let name = v.as_str().ok_or("kernel: expected a string")?;
+            if !LEGACY_KERNEL_NAMES.contains(&name) {
+                return Err(format!("unknown kernel {name:?}"));
             }
-        };
+        }
         let layout = match doc.get("layout") {
             None => RecordLayout::Datamation,
             Some(v) => {
@@ -128,7 +134,6 @@ impl JobSpec {
             mem_budget: doc.field_u64("mem_budget").map_err(|e| e.to_string())?,
             scratch_budget: doc.field_u64("scratch_budget").map_err(|e| e.to_string())?,
             merge_workers: doc.field_u64("merge_workers").map_err(|e| e.to_string())? as usize,
-            kernel,
             layout,
             idem_key,
             deadline_ms: match doc.get("deadline_ms") {
@@ -145,8 +150,9 @@ impl JobSpec {
 
     /// Reject manifests that could never run: malformed input length,
     /// budgets below the floor, budgets above the pool's *total* capacity
-    /// (would queue forever), or a two-pass plan whose scratch budget
-    /// cannot hold the spilled runs.
+    /// (would queue forever), a two-pass plan whose scratch budget cannot
+    /// hold the spilled runs, or more merge workers than
+    /// [`MAX_MERGE_WORKERS`].
     pub fn validate(&self, pool_mem_total: u64, pool_scratch_total: u64) -> Result<(), SortdError> {
         if self.input_bytes == 0 {
             return Err(SortdError::BadManifest(
@@ -161,6 +167,12 @@ impl JobSpec {
             return Err(SortdError::BadManifest(format!(
                 "input_bytes {} is not a positive multiple of the {RECORD_LEN}-byte record",
                 self.input_bytes
+            )));
+        }
+        if self.merge_workers > MAX_MERGE_WORKERS {
+            return Err(SortdError::BadManifest(format!(
+                "merge_workers {} exceeds the limit of {MAX_MERGE_WORKERS}",
+                self.merge_workers
             )));
         }
         if self.mem_budget < MIN_JOB_MEM {
@@ -359,10 +371,6 @@ mod tests {
         let s = spec(1_000 * RECORD_LEN as u64, 1 << 20, 2 << 20);
         let got = JobSpec::from_json(&s.to_json()).unwrap();
         assert_eq!(got, s);
-        for kernel in Kernel::ALL {
-            let s = JobSpec { kernel, ..s.clone() };
-            assert_eq!(JobSpec::from_json(&s.to_json()).unwrap(), s);
-        }
     }
 
     #[test]
@@ -386,19 +394,40 @@ mod tests {
     }
 
     #[test]
-    fn kernel_field_is_optional_but_validated() {
-        // An old client's manifest (no `kernel` field) defaults to scalar.
+    fn legacy_kernel_field_is_ignored_but_validated() {
+        // No `kernel` field is emitted any more.
         let s = spec(1_000 * RECORD_LEN as u64, 1 << 20, 0);
-        let Json::Obj(fields) = s.to_json() else { panic!() };
-        let without: Vec<_> = fields.into_iter().filter(|(k, _)| k != "kernel").collect();
-        let got = JobSpec::from_json(&Json::Obj(without.clone())).unwrap();
-        assert_eq!(got.kernel, Kernel::Scalar);
+        assert!(s.to_json().get("kernel").is_none());
+        // A manifest from an earlier client names one of the old variants;
+        // every one of them parses to the same spec.
+        for name in ["scalar", "branchless-tree", "radix", "simd"] {
+            let Json::Obj(mut fields) = s.to_json() else { panic!() };
+            fields.push(("kernel".into(), Json::from(name)));
+            assert_eq!(JobSpec::from_json(&Json::Obj(fields)).unwrap(), s, "{name}");
+        }
         // An unknown kernel name is a parse error (→ bad_manifest), not a
         // silent fallback.
-        let mut bad = without;
+        let Json::Obj(mut bad) = s.to_json() else { panic!() };
         bad.push(("kernel".into(), Json::from("warp-drive")));
         let err = JobSpec::from_json(&Json::Obj(bad)).unwrap_err();
         assert!(err.contains("unknown kernel"), "{err}");
+    }
+
+    #[test]
+    fn merge_workers_is_bounded() {
+        let ok = JobSpec {
+            merge_workers: MAX_MERGE_WORKERS,
+            ..spec(1_000 * RECORD_LEN as u64, 1 << 20, 0)
+        };
+        assert!(ok.validate(1 << 30, 1 << 30).is_ok());
+        let over = JobSpec {
+            merge_workers: MAX_MERGE_WORKERS + 1,
+            ..ok
+        };
+        assert!(matches!(
+            over.validate(1 << 30, 1 << 30),
+            Err(SortdError::BadManifest(m)) if m.contains("merge_workers")
+        ));
     }
 
     #[test]

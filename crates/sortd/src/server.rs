@@ -826,6 +826,10 @@ fn handle_submit(
             let mut core = state.core.lock().unwrap();
             core.counters.rejected += 1;
             drop(core);
+            // As for a manifest that fails validation below: drain the
+            // payload under the fixed cap so the client reads the typed
+            // error instead of a reset.
+            let _ = proto::drain_payload(stream, proto::REJECT_DRAIN_CAP);
             return proto::send_ctrl(stream, &proto::error_doc(None, &err));
         }
     };

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use alphasort_dmgen::{generate, records_of_mut, GenConfig, RECORD_LEN};
 use alphasort_sortd::{
-    AdmissionConfig, Client, ClientError, JobSpec, Kernel, PoolConfig, ScratchBacking, Sortd,
+    AdmissionConfig, Client, ClientError, JobSpec, PoolConfig, ScratchBacking, Sortd,
     SortdConfig,
 };
 
@@ -31,7 +31,6 @@ fn spec(name: &str, input: u64, mem: u64, scratch: u64) -> JobSpec {
         mem_budget: mem,
         scratch_budget: scratch,
         merge_workers: 0,
-        kernel: Kernel::Scalar,
         ..JobSpec::default()
     }
 }

@@ -16,7 +16,7 @@ use alphasort_dmgen::{generate, records_of_mut, GenConfig, RECORD_LEN};
 use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk};
 use alphasort_obs::MetricsSnapshot;
 use alphasort_sortd::{
-    AdmissionConfig, Client, JobSpec, Kernel, PoolConfig, ScratchBacking, Sortd, SortdConfig,
+    AdmissionConfig, Client, JobSpec, PoolConfig, ScratchBacking, Sortd, SortdConfig,
 };
 use alphasort_stripefs::Volume;
 
@@ -50,7 +50,6 @@ fn submit_data(
         mem_budget: mem,
         scratch_budget: scratch,
         merge_workers: 0,
-        kernel: Kernel::Scalar,
         ..JobSpec::default()
     };
     let client = Client::new(addr).with_timeout(Duration::from_secs(120));
@@ -104,6 +103,11 @@ fn fleet_of_small_jobs_races_huge_ones() {
     const CLIENT_THREADS: u64 = 8;
     let queued_seen = Arc::new(AtomicU64::new(0));
 
+    // Huge job 1's input is generated up front so its submit follows the
+    // observed start of huge-0 immediately: generating it there would eat
+    // into huge-0's run time, the window huge-1 must queue in.
+    let (huge1, _) = generate(GenConfig::datamation(150_000, 1_001));
+
     let mut handles = Vec::new();
     // Huge job 0: 30 MB of input against a 2 MB budget — a forced two-pass
     // sort that occupies two-thirds of the pool for hundreds of
@@ -129,7 +133,7 @@ fn fleet_of_small_jobs_races_huge_ones() {
     {
         let q = Arc::clone(&queued_seen);
         handles.push(thread::spawn(move || {
-            let (data, _) = generate(GenConfig::datamation(150_000, 1_001));
+            let data = huge1;
             let scratch = data.len() as u64 + RECORD_LEN as u64;
             let (out, want, queued) = submit_data(addr, "huge-1", data, 2 << 20, scratch);
             if queued {
@@ -299,7 +303,6 @@ fn daemon_latency_quantiles_agree_with_clients() {
                     mem_budget: 512 << 10,
                     scratch_budget: 0,
                     merge_workers: 0,
-                    kernel: Kernel::Scalar,
                     ..JobSpec::default()
                 };
                 let client = Client::new(addr).with_timeout(Duration::from_secs(120));
@@ -369,7 +372,6 @@ fn hopeless_manifest_is_rejected_not_queued() {
         mem_budget: 8 << 20, // eight times the pool total
         scratch_budget: 0,
         merge_workers: 0,
-        kernel: Kernel::Scalar,
         ..JobSpec::default()
     };
     let client = Client::new(daemon.addr()).with_timeout(Duration::from_secs(10));

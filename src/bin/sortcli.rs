@@ -9,7 +9,7 @@
 //! ```text
 //! sortcli <input> <output> [--mem BYTES] [--workers N] [--run RECORDS]
 //!         [--rep record|pointer|key|key-prefix|codeword]
-//!         [--kernel scalar|branchless-tree|radix|simd] [--two-pass]
+//!         [--two-pass]
 //!         [--layout datamation|varlen] [--corpus NAME]
 //!         [--merge-workers N]
 //!         [--scratch-dir DIR] [--resume] [--io-retries N] [--io-backoff-ms MS]
@@ -57,7 +57,7 @@ use alphasort_suite::obs;
 use alphasort_suite::sort::driver::{one_pass, two_pass, MemScratch, ResumeReport, StripeScratch};
 use alphasort_suite::sort::io::RecordSink;
 use alphasort_suite::sort::io_file::{FileSink, FileSource};
-use alphasort_suite::sort::{Kernel, RecordLayout, Representation, SortConfig};
+use alphasort_suite::sort::{RecordLayout, Representation, SortConfig};
 use alphasort_suite::stripefs::{RetryPolicy, Volume};
 
 struct Args {
@@ -67,7 +67,6 @@ struct Args {
     workers: usize,
     run_records: usize,
     rep: Representation,
-    kernel: Kernel,
     layout: RecordLayout,
     corpus: TextCorpus,
     two_pass: bool,
@@ -85,7 +84,7 @@ struct Args {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: sortcli <input> <output> [--mem BYTES] [--workers N] \
-         [--run RECORDS] [--rep NAME] [--kernel NAME] [--layout NAME] [--corpus NAME] \
+         [--run RECORDS] [--rep NAME] [--layout NAME] [--corpus NAME] \
          [--two-pass] [--merge-workers N] \
          [--scratch-dir DIR] [--resume] [--io-retries N] [--io-backoff-ms MS] \
          [--gen RECORDS[:SEED]] [--verify] \
@@ -103,7 +102,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         workers: 0,
         run_records: 100_000,
         rep: Representation::KeyPrefix,
-        kernel: Kernel::Scalar,
         layout: RecordLayout::Datamation,
         corpus: TextCorpus::Urls,
         two_pass: false,
@@ -138,14 +136,6 @@ fn parse_args() -> Result<Args, ExitCode> {
                         eprintln!("unknown representation {v}");
                         usage()
                     })?;
-            }
-            "--kernel" => {
-                let v = value("--kernel")?;
-                args.kernel = Kernel::from_name(&v).ok_or_else(|| {
-                    let names: Vec<&str> = Kernel::ALL.into_iter().map(|k| k.name()).collect();
-                    eprintln!("unknown kernel {v} (one of: {})", names.join(", "));
-                    usage()
-                })?;
             }
             "--layout" => {
                 let v = value("--layout")?;
@@ -391,7 +381,6 @@ fn main() -> ExitCode {
         memory_budget: args.mem,
         max_fanin: 128,
         merge_workers: args.merge_workers,
-        kernel: args.kernel,
         layout: args.layout,
     };
     if args.layout == RecordLayout::VarLen && args.scratch_dir.is_some() {

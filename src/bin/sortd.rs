@@ -6,10 +6,9 @@
 //!              [--journal DIR] [--trace-out TRACE.json] [--metrics-out METRICS.json]
 //! sortd submit --addr ADDR (--in FILE | --gen RECORDS[:SEED]) [--out FILE]
 //!              [--mem BYTES] [--scratch BYTES] [--merge-workers N] [--name NAME]
-//!              [--kernel scalar|branchless-tree|radix|simd]
 //!              [--idem-key KEY] [--deadline-ms N]
 //! sortd fleet  --addr ADDR [--jobs N] [--threads N] [--records N] [--mem BYTES]
-//!              [--kernel NAME] [--retries N]
+//!              [--retries N]
 //! sortd stats  --addr ADDR
 //! sortd top    --addr ADDR [--interval-ms N] [--iters N]
 //! sortd status --addr ADDR --job ID
@@ -59,7 +58,6 @@ use alphasort_suite::dmgen::{generate, records_of_mut, GenConfig, RECORD_LEN};
 use alphasort_suite::iosim::{catalog, FileStorage, IoEngine, Pacing, SimDisk, Storage};
 use alphasort_suite::obs;
 use alphasort_suite::obs::MetricsSnapshot;
-use alphasort_suite::sort::Kernel;
 use alphasort_suite::sortd::{
     AdmissionConfig, Client, JobSpec, PoolConfig, RetryPolicy, ScratchBacking, Sortd,
     SortdConfig,
@@ -73,9 +71,9 @@ fn usage() -> ExitCode {
          \x20                [--journal DIR] [--trace-out TRACE.json] [--metrics-out METRICS.json]\n\
          \x20      sortd submit --addr ADDR (--in FILE | --gen RECORDS[:SEED]) [--out FILE]\n\
          \x20                [--mem BYTES] [--scratch BYTES] [--merge-workers N] [--name NAME]\n\
-         \x20                [--kernel NAME] [--idem-key KEY] [--deadline-ms N]\n\
+         \x20                [--idem-key KEY] [--deadline-ms N]\n\
          \x20      sortd fleet  --addr ADDR [--jobs N] [--threads N] [--records N] [--mem BYTES]\n\
-         \x20                [--kernel NAME] [--retries N]\n\
+         \x20                [--retries N]\n\
          \x20      sortd stats  --addr ADDR\n\
          \x20      sortd top    --addr ADDR [--interval-ms N] [--iters N]\n\
          \x20      sortd status --addr ADDR --job ID\n\
@@ -116,17 +114,6 @@ impl Flags {
                 usage()
             }),
             None => Ok(default),
-        }
-    }
-
-    fn kernel(&self) -> Result<Kernel, ExitCode> {
-        match self.get("--kernel") {
-            None => Ok(Kernel::Scalar),
-            Some(v) => Kernel::from_name(v).ok_or_else(|| {
-                let names: Vec<&str> = Kernel::ALL.into_iter().map(|k| k.name()).collect();
-                eprintln!("unknown kernel {v} (one of: {})", names.join(", "));
-                usage()
-            }),
         }
     }
 
@@ -320,7 +307,6 @@ fn cmd_submit(flags: &Flags) -> Result<ExitCode, ExitCode> {
         mem_budget: flags.num("--mem", 64u64 << 20)?,
         scratch_budget: flags.num("--scratch", data.len() as u64 + RECORD_LEN as u64)?,
         merge_workers: flags.num("--merge-workers", 0usize)?,
-        kernel: flags.kernel()?,
         idem_key: flags.get("--idem-key").map(Into::into),
         deadline_ms: flags.num("--deadline-ms", 0u64)?,
         ..JobSpec::default()
@@ -371,7 +357,6 @@ fn cmd_fleet(flags: &Flags) -> Result<ExitCode, ExitCode> {
     let threads: u64 = flags.num("--threads", 8)?;
     let records: u64 = flags.num("--records", 1_000)?;
     let mem: u64 = flags.num("--mem", 1u64 << 20)?;
-    let kernel = flags.kernel()?;
     // --retries N switches the fleet to the client's bounded, idempotent
     // retry policy (N attempts, jittered linear backoff, one key per job).
     // Without it the fleet keeps its historical unbounded exponential loop.
@@ -390,7 +375,6 @@ fn cmd_fleet(flags: &Flags) -> Result<ExitCode, ExitCode> {
                     mem_budget: mem,
                     scratch_budget: data.len() as u64 + RECORD_LEN as u64,
                     merge_workers: 0,
-                    kernel,
                     idem_key: (retries > 0).then(|| format!("fleet-job-{j}")),
                     ..JobSpec::default()
                 };
