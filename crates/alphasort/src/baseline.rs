@@ -15,12 +15,16 @@
 //! pipeline vs. the same machine pretending to be a shared-nothing
 //! cluster.
 
+use std::io;
 use std::time::{Duration, Instant};
 
 use alphasort_dmgen::{records_of, Record, RECORD_LEN};
 
+use crate::pmerge::SAMPLES_PER_RANGE;
 use crate::rs::LoserTree;
 use crate::runform::{form_run, Representation};
+use crate::splitter::{route, splitters_from_keys};
+use crate::varlen::VarRun;
 
 /// Configuration for the partitioned sort.
 #[derive(Clone, Debug)]
@@ -298,6 +302,43 @@ pub fn partition_merge_sort(
     (out, stats)
 }
 
+/// Var-len whole-buffer baseline: form one run, emit its sorted frames.
+/// The differential oracle's cheapest var-len reference after `sort_by`
+/// itself.
+pub fn sort_var_bytes(input: &[u8]) -> io::Result<Vec<u8>> {
+    Ok(VarRun::from_frames(input.to_vec())?.sorted_bytes())
+}
+
+/// Var-len shared-nothing baseline: sample byte-string splitters, scatter
+/// frames by [`route`], sort each part independently, and concatenate.
+/// Routing is pure in the key and scatter preserves arrival order within a
+/// part, so the result is byte-identical to [`sort_var_bytes`] for any
+/// `parts`.
+pub fn partition_sort_var(input: &[u8], parts: usize) -> io::Result<Vec<u8>> {
+    assert!(parts >= 1);
+    let recs = alphasort_dmgen::var_records_of(input)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let n = recs.len();
+    let mut pool = Vec::new();
+    if parts > 1 && n > 0 {
+        let count = (parts * SAMPLES_PER_RANGE).min(n);
+        for i in 0..count {
+            let idx = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % n as u64;
+            pool.push(recs[idx as usize].key().to_vec());
+        }
+    }
+    let splitters = splitters_from_keys(pool, parts);
+    let mut outs: Vec<Vec<u8>> = vec![Vec::new(); parts];
+    for r in &recs {
+        outs[route(r.key(), &splitters)].extend_from_slice(r.frame());
+    }
+    let mut out = Vec::with_capacity(input.len());
+    for part in outs {
+        out.extend_from_slice(&VarRun::from_frames(part)?.sorted_bytes());
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,5 +425,31 @@ mod tests {
     fn empty_input() {
         let (out, _) = partition_sort(&[], &PartitionSortConfig::default());
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn partition_sort_var_matches_serial_baseline() {
+        use alphasort_dmgen::{generate_varlen, var_records_of, TextCorpus, VarGenConfig};
+        for corpus in TextCorpus::ALL {
+            let data = generate_varlen(VarGenConfig {
+                records: 700,
+                seed: 0x58,
+                corpus,
+            });
+            let recs = var_records_of(&data).unwrap();
+            let mut idx: Vec<usize> = (0..recs.len()).collect();
+            idx.sort_by(|&a, &b| recs[a].key().cmp(recs[b].key()));
+            let stable: Vec<u8> = idx.iter().flat_map(|&i| recs[i].frame().to_vec()).collect();
+            let serial = sort_var_bytes(&data).unwrap();
+            assert_eq!(serial, stable, "{}", corpus.name());
+            for parts in [1, 2, 4, 8] {
+                assert_eq!(
+                    partition_sort_var(&data, parts).unwrap(),
+                    serial,
+                    "{} parts={parts}",
+                    corpus.name()
+                );
+            }
+        }
     }
 }

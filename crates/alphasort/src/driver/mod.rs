@@ -16,12 +16,15 @@ pub use scratch::{
 pub use twopass::two_pass;
 
 use std::io;
+use std::time::Instant;
+
+use alphasort_obs as obs;
 
 use crate::entry::RecordLayout;
 use crate::io::{RecordSink, RecordSource};
 use crate::planner::{PassPlan, Planner};
 use crate::runform::Representation;
-use crate::stats::SortStats;
+use crate::stats::{timed_phase, SortStats};
 
 /// Tuning knobs for a sort run.
 #[derive(Clone, Debug)]
@@ -50,8 +53,9 @@ pub struct SortConfig {
     pub merge_workers: usize,
     /// Record model the sort operates on (see [`RecordLayout`]). The
     /// layout only moves CPU time: for a given layout every
-    /// configuration produces byte-identical output. `VarLen` routes both
-    /// drivers to the LCP/OVC-aware pipeline in [`crate::varlen`].
+    /// configuration produces byte-identical output. [`one_pass`] sorts
+    /// both layouts (`VarLen` runs merge on LCP/OVC codes, see
+    /// [`crate::varlen`]); [`two_pass`] takes `Datamation` only.
     pub layout: RecordLayout,
 }
 
@@ -81,6 +85,25 @@ pub struct SortOutcome {
     pub plan: PassPlan,
 }
 
+/// Both drivers' epilogue: flush the sink, stop the clock, and publish the
+/// record and byte counts as metrics and as attributes of the driver's
+/// top-level span.
+fn finish(
+    sink: &mut impl RecordSink,
+    mut stats: SortStats,
+    top: &mut obs::SpanGuard,
+    t_start: Instant,
+    plan: PassPlan,
+) -> io::Result<SortOutcome> {
+    let bytes = timed_phase(obs::phase::WRITE, &mut stats.write_wait, || sink.complete())?;
+    stats.elapsed = t_start.elapsed();
+    obs::metrics::counter_add("sort.records", stats.records);
+    obs::metrics::counter_add("sort.bytes", stats.bytes_sorted);
+    top.attr("records", stats.records);
+    top.attr("bytes", stats.bytes_sorted);
+    Ok(SortOutcome { stats, bytes, plan })
+}
+
 /// Facade: plan (one- vs two-pass) and run the sort.
 pub struct ExternalSorter {
     cfg: SortConfig,
@@ -99,7 +122,10 @@ impl ExternalSorter {
 
     /// Sort `source` into `sink`, spilling to `scratch` if the input does
     /// not fit the memory budget. Sources without a size hint are assumed
-    /// not to fit (conservative: two-pass always works).
+    /// not to fit (conservative: two-pass always works). Var-len input
+    /// always sorts in memory, whatever the plan, since scratch stores hold
+    /// fixed-size records only; the outcome reports
+    /// [`PassPlan::OnePass`], the plan that ran.
     pub fn sort<Src, Snk, Scr>(
         &self,
         source: &mut Src,
@@ -113,6 +139,9 @@ impl ExternalSorter {
     {
         let planner = Planner::new(self.cfg.memory_budget);
         let plan = match source.size_hint() {
+            // Var-len runs cannot spill: scratch stores hold fixed-size
+            // records only.
+            _ if self.cfg.layout == RecordLayout::VarLen => PassPlan::OnePass,
             Some(bytes) => planner.plan(bytes),
             None => PassPlan::TwoPass,
         };

@@ -17,10 +17,11 @@ use alphasort_dmgen::RECORD_LEN;
 use alphasort_obs as obs;
 
 use crate::driver::scratch::{BufferedRunStream, RecoveredRun, ScratchStore};
-use crate::driver::{SortConfig, SortOutcome};
+use crate::driver::{finish, SortConfig, SortOutcome};
+use crate::entry::RecordLayout;
 use crate::io::{RecordSink, RecordSource};
 use crate::merge::StreamMerger;
-use crate::parallel::SortPool;
+use crate::parallel::{sort_chore, OrderedPool};
 use crate::planner::PassPlan;
 use crate::pmerge::{plan_partitions_with, SAMPLES_PER_RANGE};
 use crate::runform::SortedRun;
@@ -38,13 +39,17 @@ where
     Snk: RecordSink,
     Scr: ScratchStore,
 {
-    if cfg.layout == crate::entry::RecordLayout::VarLen {
-        // Var-len runs stage in their own in-memory scratch (striped
-        // var-len scratch is a roadmap item); the caller's fixed-layout
-        // scratch is not touched. Resumable var-len sorts call
-        // `varlen::two_pass_var` directly with a recovered scratch.
-        let mut vs = crate::varlen::MemVarScratch::new();
-        return crate::varlen::two_pass_var(source, sink, &mut vs, cfg);
+    // Scratch stores hold fixed-size records only (`key_at`, strides and
+    // range windows are all `RECORD_LEN`-based), so a var-len input cannot
+    // spill: refuse it before touching the source or the scratch.
+    if cfg.layout != RecordLayout::Datamation {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "two-pass sort needs fixed-size records; {} input sorts in memory (one pass)",
+                cfg.layout.name()
+            ),
+        ));
     }
     assert!(cfg.run_records > 0 && cfg.gather_batch > 0);
     let mut top = obs::span(obs::phase::TWO_PASS);
@@ -73,7 +78,11 @@ where
     // Absolute byte position within the input.
     let mut abs: u64 = 0;
     let mut cur: Vec<u8> = Vec::with_capacity(run_bytes);
-    let mut pool = SortPool::new(cfg.workers, cfg.representation);
+    let mut pool = OrderedPool::new(
+        "sort-worker",
+        cfg.workers,
+        sort_chore::<SortedRun>(cfg.representation),
+    );
     let spill = |run: &SortedRun, stats: &mut SortStats, scratch: &mut Scr| -> io::Result<()> {
         stats.runs += 1;
         stats.run_lengths.push(run.len() as u64);
@@ -159,9 +168,9 @@ where
             }
         }
         // Spill whatever the workers have finished, without stalling input.
-        while let Some((run, d)) = pool.try_next_in_order() {
+        while let Some((run, d)) = pool.try_next() {
             stats.sort_time += d;
-            spill(&run, &mut stats, scratch)?;
+            spill(&run?, &mut stats, scratch)?;
         }
     }
     if !cur.is_empty() {
@@ -178,9 +187,9 @@ where
     }
     while let Some((run, d)) = pool.next_in_order() {
         stats.sort_time += d;
-        spill(&run, &mut stats, scratch)?;
+        spill(&run?, &mut stats, scratch)?;
     }
-    drop(pool.finish()); // joins worker threads (no runs remain)
+    drop(pool); // joins worker threads (no runs remain)
 
     if let Some(r) = pending.front() {
         // The scratch thinks it holds runs past the end of the input: the
@@ -198,13 +207,7 @@ where
     }
 
     if stats.records == 0 {
-        let bytes = timed_phase(obs::phase::WRITE, &mut stats.write_wait, || sink.complete())?;
-        stats.elapsed = t_start.elapsed();
-        return Ok(SortOutcome {
-            stats,
-            bytes,
-            plan: PassPlan::TwoPass,
-        });
+        return finish(sink, stats, &mut top, t_start, PassPlan::TwoPass);
     }
 
     // ---- intermediate cascade passes (runs > fan-in) -----------------------
@@ -254,17 +257,8 @@ where
 
     // ---- final merge into the sink -----------------------------------------
     if cfg.merge_workers > 0 {
-        let bytes = partitioned_final_merge(sink, scratch, cfg, &mut stats)?;
-        stats.elapsed = t_start.elapsed();
-        obs::metrics::counter_add("sort.records", stats.records);
-        obs::metrics::counter_add("sort.bytes", stats.bytes_sorted);
-        top.attr("records", stats.records);
-        top.attr("bytes", stats.bytes_sorted);
-        return Ok(SortOutcome {
-            stats,
-            bytes,
-            plan: PassPlan::TwoPass,
-        });
+        partitioned_final_merge(sink, scratch, cfg, &mut stats)?;
+        return finish(sink, stats, &mut top, t_start, PassPlan::TwoPass);
     }
     let sources = timed_phase(obs::phase::SPILL, &mut stats.spill_time, || {
         scratch.open_runs()
@@ -303,17 +297,7 @@ where
             break;
         }
     }
-    let bytes = timed_phase(obs::phase::WRITE, &mut stats.write_wait, || sink.complete())?;
-    stats.elapsed = t_start.elapsed();
-    obs::metrics::counter_add("sort.records", stats.records);
-    obs::metrics::counter_add("sort.bytes", stats.bytes_sorted);
-    top.attr("records", stats.records);
-    top.attr("bytes", stats.bytes_sorted);
-    Ok(SortOutcome {
-        stats,
-        bytes,
-        plan: PassPlan::TwoPass,
-    })
+    finish(sink, stats, &mut top, t_start, PassPlan::TwoPass)
 }
 
 /// Partitioned final merge: sampled splitters (probed via
@@ -328,7 +312,7 @@ fn partitioned_final_merge<Snk, Scr>(
     scratch: &mut Scr,
     cfg: &SortConfig,
     stats: &mut SortStats,
-) -> io::Result<u64>
+) -> io::Result<()>
 where
     Snk: RecordSink,
     Scr: ScratchStore,
@@ -452,7 +436,7 @@ where
         stats.merge_time += d;
         stats.merge_range_time.push(d);
     }
-    timed_phase(obs::phase::WRITE, &mut stats.write_wait, || sink.complete())
+    Ok(())
 }
 
 #[cfg(test)]
@@ -696,5 +680,27 @@ mod tests {
         let outcome = two_pass(&mut source, &mut sink, &mut scratch, &cfg).unwrap();
         assert_eq!(outcome.stats.runs, 8); // ceil(1000 / 128)
         assert_eq!(*outcome.stats.run_lengths.last().unwrap(), 1_000 % 128);
+    }
+
+    #[test]
+    fn var_len_input_is_refused_before_any_run_is_created() {
+        let data = alphasort_dmgen::generate_varlen(alphasort_dmgen::VarGenConfig {
+            records: 500,
+            seed: 0x5A,
+            corpus: alphasort_dmgen::TextCorpus::Urls,
+        });
+        let mut source = MemSource::new(data, 4_096);
+        let mut sink = MemSink::new();
+        let mut scratch = MemScratch::new(40 * RECORD_LEN);
+        let cfg = SortConfig {
+            run_records: 50,
+            layout: RecordLayout::VarLen,
+            ..Default::default()
+        };
+        let err = two_pass(&mut source, &mut sink, &mut scratch, &cfg).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("varlen"), "{err}");
+        assert_eq!(scratch.run_count(), 0);
+        assert!(sink.data().is_empty());
     }
 }

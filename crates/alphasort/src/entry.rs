@@ -9,9 +9,10 @@
 use alphasort_dmgen::{Record, KEY_LEN};
 
 /// Which record model a sort operates on. The layout is threaded through
-/// [`crate::SortConfig`], both drivers, `sortcli --layout`, and the sortd
-/// job manifest; for a given layout every configuration produces
-/// byte-identical output, so the other knobs move CPU time only.
+/// [`crate::SortConfig`], the one-pass driver (the two-pass driver takes
+/// `Datamation` only), `sortcli --layout`, and the sortd job manifest; for
+/// a given layout every configuration produces byte-identical output, so
+/// the other knobs move CPU time only.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RecordLayout {
     /// Fixed Datamation records: 100 bytes, 10-byte key at offset 0. The
@@ -19,8 +20,8 @@ pub enum RecordLayout {
     #[default]
     Datamation,
     /// Length-prefixed variable-length records with an (offset, length)
-    /// string-key descriptor (see [`alphasort_dmgen::varlen`]), sorted by
-    /// the LCP/OVC-aware pipeline in [`crate::varlen`].
+    /// string-key descriptor (see [`alphasort_dmgen::varlen`]), sorted in
+    /// memory with the runs merged on LCP/OVC codes ([`crate::varlen`]).
     VarLen,
 }
 

@@ -10,15 +10,15 @@
 
 use alphasort_dmgen::RECORD_LEN;
 
+use crate::memrun::MemRun;
 use crate::merge::{MergedPtr, RunMerger};
 use crate::runform::SortedRun;
 
 /// Copy the records named by `ptrs` (in order) onto the end of `out`.
-pub fn gather_into(runs: &[SortedRun], ptrs: &[MergedPtr], out: &mut Vec<u8>) {
-    out.reserve(ptrs.len() * RECORD_LEN);
+pub fn gather_into<R: MemRun>(runs: &[R], ptrs: &[MergedPtr], out: &mut Vec<u8>) {
+    out.reserve(ptrs.len() * R::STRIDE);
     for p in ptrs {
-        let rec = runs[p.run as usize].record_at(p.pos as usize);
-        out.extend_from_slice(rec.as_bytes());
+        out.extend_from_slice(runs[p.run as usize].frame(p.pos as usize));
     }
 }
 
@@ -33,26 +33,11 @@ pub fn merge_gather_all(runs: &[SortedRun]) -> Vec<u8> {
     out
 }
 
-/// [`gather_into`] for variable-length runs: no fixed stride to reserve
-/// by, so copies are sized per frame. Records are still copied exactly
-/// once — the pointers address (run, sorted-position), the frame lookup
-/// resolves offset and length.
-pub fn gather_var_into(runs: &[crate::varlen::VarRun], ptrs: &[MergedPtr], out: &mut Vec<u8>) {
-    for p in ptrs {
-        out.extend_from_slice(runs[p.run as usize].frame_at(p.pos as usize));
-    }
-}
-
 /// Pull up to `n` pointers from a merger — the root's unit of work when it
 /// hands gather chores to workers buffer by buffer.
-pub fn take_ptrs(merger: &mut RunMerger<'_>, n: usize) -> Vec<MergedPtr> {
-    let mut v = Vec::with_capacity(n.min(merger.remaining()));
-    for _ in 0..n {
-        match merger.next() {
-            Some(p) => v.push(p),
-            None => break,
-        }
-    }
+pub fn take_ptrs(merger: &mut impl Iterator<Item = MergedPtr>, n: usize) -> Vec<MergedPtr> {
+    let mut v = Vec::with_capacity(n.min(merger.size_hint().0));
+    v.extend(merger.take(n));
     v
 }
 

@@ -20,6 +20,13 @@
 //! 5. on multiprocessors, splits QuickSort and gather work into chores for
 //!    worker threads while the root does all IO ([`parallel`]).
 //!
+//! The one-pass pipeline does not depend on the record format: it is
+//! generic over [`memrun::MemRun`], which fixed 100-byte Datamation runs
+//! ([`SortedRun`]) and length-prefixed string-key runs
+//! ([`varlen::VarRun`], merged on offset-value codes) both implement.
+//! Var-len sorts run in memory; the two-pass driver's scratch stores hold
+//! fixed-size records only.
+//!
 //! Extensions the paper discusses but does not adopt are in [`ovc`]
 //! (offset-value coding, the DFsort/SyncSort technique), [`partition`]
 //! (the 256-bucket distributive sort "that might beat AlphaSort"), the
@@ -56,6 +63,7 @@ pub mod gather;
 pub mod io;
 pub mod io_file;
 pub mod kernel;
+pub mod memrun;
 pub mod merge;
 pub mod mergeplan;
 pub mod ovc;

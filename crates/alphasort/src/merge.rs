@@ -112,11 +112,6 @@ impl<'a> RunMerger<'a> {
             }
         }
     }
-
-    /// Total records still to come.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
 }
 
 impl Iterator for RunMerger<'_> {

@@ -7,11 +7,17 @@
 //! record pointers. Workers perform the memory-intensive chores of
 //! gathering records into output buffers."
 //!
-//! [`SortPool`] is the QuickSort-chore pool; [`GatherPool`] the gather-chore
-//! pool. Both degrade to inline execution with zero workers (the paper's
-//! uniprocessor case, where the root does sorting "in its spare time").
+//! One [`OrderedPool`] serves every chore: the root submits jobs, workers
+//! run the chore, and results come back **in submission order** so runs
+//! reach scratch and buffers reach the sink in the order the root cut
+//! them. With zero workers the chore runs inline on submit (the paper's
+//! uniprocessor case, where the root does the work "in its spare time").
+//! The chores are [`sort_chore`] (QuickSort a run), [`gather_chore`] (copy
+//! a pointer batch into an output buffer) and [`merge_range_chore`] (merge
+//! and gather one key range of a partitioned merge).
 
 use std::collections::BTreeMap;
+use std::io;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -19,54 +25,37 @@ use std::time::{Duration, Instant};
 
 use alphasort_obs as obs;
 
-use alphasort_dmgen::RECORD_LEN;
-
 use crate::gather::gather_into;
-use crate::merge::{MergedPtr, RunMerger};
-use crate::runform::{form_run, Representation, SortedRun};
-use crate::stats::SortStats;
+use crate::memrun::MemRun;
+use crate::merge::MergedPtr;
+use crate::runform::Representation;
 
-/// Sort one run buffer under an obs span (whether on a worker or inline).
-fn form_run_traced(id: usize, buf: Vec<u8>, rep: Representation) -> (SortedRun, Duration) {
-    let mut g = obs::span(obs::phase::SORT);
-    g.attr("run", id as u64);
-    let t0 = Instant::now();
-    let run = form_run(buf, rep);
-    let d = t0.elapsed();
-    g.attr("records", run.len() as u64);
-    obs::metrics::observe("sort.run_us", d.as_micros() as u64);
-    (run, d)
-}
+/// A chore: job number and job in, result out.
+type Chore<J, R> = Arc<dyn Fn(u64, J) -> R + Send + Sync>;
 
-/// Gather one pointer batch under an obs span.
-fn gather_traced(id: u64, runs: &[SortedRun], ptrs: &[MergedPtr]) -> (Vec<u8>, Duration) {
-    let mut g = obs::span(obs::phase::GATHER);
-    g.attr("batch", id);
-    g.attr("records", ptrs.len() as u64);
-    let t0 = Instant::now();
-    let mut buf = Vec::new();
-    gather_into(runs, ptrs, &mut buf);
-    let d = t0.elapsed();
-    obs::metrics::observe("gather.batch_us", d.as_micros() as u64);
-    (buf, d)
-}
-
-/// Pool of workers QuickSorting run buffers as they arrive from input.
-pub struct SortPool {
-    rep: Representation,
-    tx: Option<Sender<(usize, Vec<u8>)>>,
-    rx: Receiver<(usize, SortedRun, Duration)>,
+/// Worker threads running one chore over submitted jobs, delivering the
+/// results in submission order.
+pub struct OrderedPool<J, R> {
+    chore: Chore<J, R>,
+    tx: Option<Sender<(u64, J)>>,
+    rx: Receiver<(u64, R)>,
     handles: Vec<JoinHandle<()>>,
     /// Out-of-order completions parked until their turn.
-    parked: BTreeMap<usize, (SortedRun, Duration)>,
-    submitted: usize,
-    delivered: usize,
+    parked: BTreeMap<u64, R>,
+    submitted: u64,
+    delivered: u64,
 }
 
-impl SortPool {
-    /// Create a pool with `workers` threads (0 = sort inline on submit).
-    pub fn new(workers: usize, rep: Representation) -> Self {
-        let (tx, work_rx) = channel::<(usize, Vec<u8>)>();
+impl<J: Send + 'static, R: Send + 'static> OrderedPool<J, R> {
+    /// A pool of `workers` threads named `{name}-{i}` (0 = run the chore
+    /// inline on submit).
+    pub fn new(
+        name: &str,
+        workers: usize,
+        chore: impl Fn(u64, J) -> R + Send + Sync + 'static,
+    ) -> Self {
+        let chore: Chore<J, R> = Arc::new(chore);
+        let (tx, work_rx) = channel::<(u64, J)>();
         // std mpsc receivers are single-consumer; workers share one behind a
         // mutex, holding the lock only while dequeuing (MPMC work queue).
         let work_rx = Arc::new(Mutex::new(work_rx));
@@ -78,23 +67,23 @@ impl SortPool {
             .map(|w| {
                 let work_rx = Arc::clone(&work_rx);
                 let res_tx = res_tx.clone();
+                let chore = Arc::clone(&chore);
                 let track = track.clone();
                 std::thread::Builder::new()
-                    .name(format!("sort-worker-{w}"))
+                    .name(format!("{name}-{w}"))
                     .spawn(move || {
                         obs::adopt_track(track);
                         loop {
-                            let msg = work_rx.lock().unwrap().recv();
-                            let Ok((id, buf)) = msg else { break };
-                            let (run, d) = form_run_traced(id, buf, rep);
-                            let _ = res_tx.send((id, run, d));
+                            let msg = work_rx.lock().expect("work queue lock poisoned").recv();
+                            let Ok((id, job)) = msg else { break };
+                            let _ = res_tx.send((id, chore(id, job)));
                         }
                     })
-                    .expect("failed to spawn sort worker")
+                    .expect("failed to spawn pool worker")
             })
             .collect();
-        SortPool {
-            rep,
+        OrderedPool {
+            chore,
             tx: if workers > 0 { Some(tx) } else { None },
             rx,
             handles,
@@ -104,300 +93,45 @@ impl SortPool {
         }
     }
 
-    /// Submit one run buffer for sorting. With zero workers this sorts
-    /// immediately on the caller's thread.
-    pub fn submit(&mut self, buf: Vec<u8>) {
+    /// Submit the next job (jobs are implicitly numbered). With zero
+    /// workers the chore runs immediately on the caller's thread.
+    pub fn submit(&mut self, job: J) {
         let id = self.submitted;
         self.submitted += 1;
         match &self.tx {
-            Some(tx) => tx.send((id, buf)).expect("sort workers gone"),
+            Some(tx) => tx.send((id, job)).expect("pool workers gone"),
             None => {
-                let (run, d) = form_run_traced(id, buf, self.rep);
-                self.parked.insert(id, (run, d));
+                let r = (self.chore)(id, job);
+                self.parked.insert(id, r);
             }
         }
     }
 
-    /// Runs submitted but not yet delivered.
-    pub fn outstanding(&self) -> usize {
+    /// Jobs submitted but not yet delivered.
+    pub fn in_flight(&self) -> u64 {
         self.submitted - self.delivered
     }
 
-    /// Move everything already sitting in the result channel to `parked`.
-    fn absorb_ready(&mut self) {
-        while let Ok((id, run, d)) = self.rx.try_recv() {
-            self.parked.insert(id, (run, d));
+    /// The next result in submission order if it is already done; never
+    /// blocks. Use during input so spilling overlaps reading.
+    pub fn try_next(&mut self) -> Option<R> {
+        while let Ok((id, r)) = self.rx.try_recv() {
+            self.parked.insert(id, r);
         }
-    }
-
-    /// The next run in submission order if it has already been sorted;
-    /// never blocks. Use during input so spilling overlaps reading.
-    pub fn try_next_in_order(&mut self) -> Option<(SortedRun, Duration)> {
-        self.absorb_ready();
         let r = self.parked.remove(&self.delivered)?;
         self.delivered += 1;
         Some(r)
     }
 
-    /// The next run in submission order, blocking until it is sorted.
+    /// The next result in submission order, blocking until it is done.
     /// `None` once everything submitted has been delivered.
-    pub fn next_in_order(&mut self) -> Option<(SortedRun, Duration)> {
+    pub fn next_in_order(&mut self) -> Option<R> {
         if self.delivered >= self.submitted {
             return None;
         }
         while !self.parked.contains_key(&self.delivered) {
-            let (id, run, d) = self.rx.recv().expect("sort worker died");
-            self.parked.insert(id, (run, d));
-        }
-        let r = self.parked.remove(&self.delivered).expect("present");
-        self.delivered += 1;
-        Some(r)
-    }
-
-    /// Wait for every submitted run. Returns the runs in submission order
-    /// plus the pool's stats: per-run fragments (sort CPU, run counts and
-    /// lengths) folded through [`SortStats::merge`].
-    pub fn finish(mut self) -> (Vec<SortedRun>, SortStats) {
-        drop(self.tx.take()); // close the queue so workers exit when drained
-        let mut runs = Vec::with_capacity(self.outstanding());
-        let mut stats = SortStats::neutral();
-        while let Some((run, d)) = self.next_in_order() {
-            let mut frag = SortStats::neutral();
-            frag.sort_time = d;
-            frag.runs = 1;
-            frag.records = run.len() as u64;
-            frag.run_lengths.push(run.len() as u64);
-            stats.merge(&frag);
-            runs.push(run);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-        (runs, stats)
-    }
-}
-
-impl Drop for SortPool {
-    /// Dropping without [`finish`](SortPool::finish) (e.g. on an IO error
-    /// mid-sort) still closes the work queue and joins the workers, so no
-    /// threads outlive the pool.
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Pool of workers gathering records into output buffers from a merged
-/// pointer string. The root submits pointer batches; completed buffers come
-/// back **in submission order** so the writer can stream them out.
-pub struct GatherPool {
-    runs: Arc<Vec<SortedRun>>,
-    tx: Option<Sender<(u64, Vec<MergedPtr>)>>,
-    rx: Receiver<(u64, Vec<u8>, Duration)>,
-    handles: Vec<JoinHandle<()>>,
-    /// Out-of-order completions parked until their turn.
-    parked: BTreeMap<u64, (Vec<u8>, Duration)>,
-    next_submit: u64,
-    next_deliver: u64,
-    /// Per-batch fragments folded through [`SortStats::merge`].
-    stats: SortStats,
-}
-
-impl GatherPool {
-    /// Create a pool with `workers` threads (0 = gather inline).
-    pub fn new(workers: usize, runs: Arc<Vec<SortedRun>>) -> Self {
-        let (tx, work_rx) = channel::<(u64, Vec<MergedPtr>)>();
-        // Shared single receiver behind a mutex, as in `SortPool::new`.
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        let (res_tx, rx) = channel();
-        let track = obs::current_track();
-        let handles = (0..workers)
-            .map(|w| {
-                let work_rx = Arc::clone(&work_rx);
-                let res_tx = res_tx.clone();
-                let runs = Arc::clone(&runs);
-                let track = track.clone();
-                std::thread::Builder::new()
-                    .name(format!("gather-worker-{w}"))
-                    .spawn(move || {
-                        obs::adopt_track(track);
-                        loop {
-                            let msg = work_rx.lock().unwrap().recv();
-                            let Ok((id, ptrs)) = msg else { break };
-                            let (buf, d) = gather_traced(id, &runs, &ptrs);
-                            let _ = res_tx.send((id, buf, d));
-                        }
-                    })
-                    .expect("failed to spawn gather worker")
-            })
-            .collect();
-        GatherPool {
-            runs,
-            tx: if workers > 0 { Some(tx) } else { None },
-            rx,
-            handles,
-            parked: BTreeMap::new(),
-            next_submit: 0,
-            next_deliver: 0,
-            stats: SortStats::neutral(),
-        }
-    }
-
-    /// Submit the next pointer batch (batches are implicitly numbered).
-    pub fn submit(&mut self, ptrs: Vec<MergedPtr>) {
-        let id = self.next_submit;
-        self.next_submit += 1;
-        match &self.tx {
-            Some(tx) => tx.send((id, ptrs)).expect("gather workers gone"),
-            None => {
-                let (buf, d) = gather_traced(id, &self.runs, &ptrs);
-                self.parked.insert(id, (buf, d));
-            }
-        }
-    }
-
-    /// Stats accumulated so far (gather CPU across delivered batches).
-    pub fn stats(&self) -> &SortStats {
-        &self.stats
-    }
-
-    /// Number of batches submitted but not yet delivered.
-    pub fn in_flight(&self) -> u64 {
-        self.next_submit - self.next_deliver
-    }
-
-    /// Block for the next buffer in submission order. `None` once every
-    /// submitted batch has been delivered.
-    pub fn next_buffer(&mut self) -> Option<Vec<u8>> {
-        if self.next_deliver >= self.next_submit {
-            return None;
-        }
-        loop {
-            if let Some((buf, d)) = self.parked.remove(&self.next_deliver) {
-                self.next_deliver += 1;
-                let mut frag = SortStats::neutral();
-                frag.gather_time = d;
-                self.stats.merge(&frag);
-                return Some(buf);
-            }
-            let (id, buf, d) = self.rx.recv().expect("gather worker died");
-            self.parked.insert(id, (buf, d));
-        }
-    }
-}
-
-impl Drop for GatherPool {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Merge + gather one key range into a pre-sized buffer, under an obs span
-/// on the worker's track (the Figure 7 report shows the ranges overlapping).
-fn merge_range_traced(
-    range: usize,
-    runs: &[SortedRun],
-    bounds: &[(u32, u32)],
-) -> (Vec<u8>, Duration) {
-    let mut g = obs::span(obs::phase::MERGE);
-    g.attr("range", range as u64);
-    let t0 = Instant::now();
-    let records: usize = bounds.iter().map(|&(s, e)| (e - s) as usize).sum();
-    let mut buf = Vec::with_capacity(records * RECORD_LEN);
-    for p in RunMerger::with_bounds(runs, bounds) {
-        buf.extend_from_slice(runs[p.run as usize].record_at(p.pos as usize).as_bytes());
-    }
-    let d = t0.elapsed();
-    g.attr("records", records as u64);
-    obs::metrics::observe("merge.range_us", d.as_micros() as u64);
-    (buf, d)
-}
-
-/// A submitted range: its index plus the per-run `(start, end)` bounds.
-type RangeJob = (usize, Vec<(u32, u32)>);
-
-/// Pool of workers each running one key range's loser-tree merge (fused
-/// with its gather) over a shared run set. The root submits the ranges of
-/// a [`crate::pmerge::MergePartition`] and drains the output buffers **in
-/// range order**, which concatenates to the serial merge's output.
-pub struct MergePool {
-    runs: Arc<Vec<SortedRun>>,
-    tx: Option<Sender<RangeJob>>,
-    rx: Receiver<(usize, Vec<u8>, Duration)>,
-    handles: Vec<JoinHandle<()>>,
-    /// Out-of-order completions parked until their turn.
-    parked: BTreeMap<usize, (Vec<u8>, Duration)>,
-    submitted: usize,
-    delivered: usize,
-}
-
-impl MergePool {
-    /// Create a pool with `workers` threads (0 = merge inline on submit).
-    pub fn new(workers: usize, runs: Arc<Vec<SortedRun>>) -> Self {
-        let (tx, work_rx) = channel::<RangeJob>();
-        // Shared single receiver behind a mutex, as in `SortPool::new`.
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        let (res_tx, rx) = channel();
-        let track = obs::current_track();
-        let handles = (0..workers)
-            .map(|w| {
-                let work_rx = Arc::clone(&work_rx);
-                let res_tx = res_tx.clone();
-                let runs = Arc::clone(&runs);
-                let track = track.clone();
-                std::thread::Builder::new()
-                    .name(format!("merge-worker-{w}"))
-                    .spawn(move || {
-                        obs::adopt_track(track);
-                        loop {
-                            let msg = work_rx.lock().unwrap().recv();
-                            let Ok((id, bounds)) = msg else { break };
-                            let (buf, d) = merge_range_traced(id, &runs, &bounds);
-                            let _ = res_tx.send((id, buf, d));
-                        }
-                    })
-                    .expect("failed to spawn merge worker")
-            })
-            .collect();
-        MergePool {
-            runs,
-            tx: if workers > 0 { Some(tx) } else { None },
-            rx,
-            handles,
-            parked: BTreeMap::new(),
-            submitted: 0,
-            delivered: 0,
-        }
-    }
-
-    /// Submit the next range's per-run bounds (ranges are implicitly
-    /// numbered in submission order).
-    pub fn submit(&mut self, bounds: Vec<(u32, u32)>) {
-        let id = self.submitted;
-        self.submitted += 1;
-        match &self.tx {
-            Some(tx) => tx.send((id, bounds)).expect("merge workers gone"),
-            None => {
-                let (buf, d) = merge_range_traced(id, &self.runs, &bounds);
-                self.parked.insert(id, (buf, d));
-            }
-        }
-    }
-
-    /// Block for the next range's output buffer, in range order. `None`
-    /// once every submitted range has been delivered.
-    pub fn next_in_order(&mut self) -> Option<(Vec<u8>, Duration)> {
-        if self.delivered >= self.submitted {
-            return None;
-        }
-        while !self.parked.contains_key(&self.delivered) {
-            let (id, buf, d) = self.rx.recv().expect("merge worker died");
-            self.parked.insert(id, (buf, d));
+            let (id, r) = self.rx.recv().expect("pool worker died");
+            self.parked.insert(id, r);
         }
         let r = self.parked.remove(&self.delivered).expect("present");
         self.delivered += 1;
@@ -405,19 +139,82 @@ impl MergePool {
     }
 }
 
-impl Drop for MergePool {
+impl<J, R> Drop for OrderedPool<J, R> {
+    /// Dropping mid-stream (e.g. on an IO error) still closes the work
+    /// queue and joins the workers, so no threads outlive the pool.
     fn drop(&mut self) {
         drop(self.tx.take());
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
+    }
+}
+
+/// A formed run and the time its QuickSort took.
+pub type Formed<R> = (io::Result<R>, Duration);
+
+/// QuickSort one run buffer under an obs `sort` span.
+pub fn sort_chore<R: MemRun>(rep: Representation) -> impl Fn(u64, Vec<u8>) -> Formed<R> {
+    move |id, buf| {
+        let mut g = obs::span(obs::phase::SORT);
+        g.attr("run", id);
+        let t0 = Instant::now();
+        let run = R::form(buf, rep);
+        let d = t0.elapsed();
+        if let Ok(run) = &run {
+            g.attr("records", run.run_len() as u64);
+        }
+        obs::metrics::observe("sort.run_us", d.as_micros() as u64);
+        (run, d)
+    }
+}
+
+/// Gather one pointer batch into an output buffer under an obs `gather`
+/// span.
+pub fn gather_chore<R: MemRun>(
+    runs: Arc<Vec<R>>,
+) -> impl Fn(u64, Vec<MergedPtr>) -> (Vec<u8>, Duration) {
+    move |id, ptrs| {
+        let mut g = obs::span(obs::phase::GATHER);
+        g.attr("batch", id);
+        g.attr("records", ptrs.len() as u64);
+        let t0 = Instant::now();
+        let mut buf = Vec::new();
+        gather_into(&runs, &ptrs, &mut buf);
+        let d = t0.elapsed();
+        obs::metrics::observe("gather.batch_us", d.as_micros() as u64);
+        (buf, d)
+    }
+}
+
+/// Merge and gather one key range (per-run `(start, end)` bounds of a
+/// [`crate::pmerge::MergePartition`]) under an obs `merge` span on the
+/// worker's track, so the Figure 7 report shows the ranges overlapping.
+pub fn merge_range_chore<R: MemRun>(
+    runs: Arc<Vec<R>>,
+) -> impl Fn(u64, Vec<(u32, u32)>) -> (Vec<u8>, Duration) {
+    move |range, bounds| {
+        let mut g = obs::span(obs::phase::MERGE);
+        g.attr("range", range);
+        let t0 = Instant::now();
+        let records: usize = bounds.iter().map(|&(s, e)| (e - s) as usize).sum();
+        let mut buf = Vec::with_capacity(records * R::STRIDE);
+        for p in R::merger(&runs, &bounds) {
+            buf.extend_from_slice(runs[p.run as usize].frame(p.pos as usize));
+        }
+        let d = t0.elapsed();
+        g.attr("records", records as u64);
+        obs::metrics::observe("merge.range_us", d.as_micros() as u64);
+        (buf, d)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memrun::full_bounds;
     use crate::merge::RunMerger;
+    use crate::runform::SortedRun;
     use alphasort_dmgen::{generate, validate_records, GenConfig, RECORD_LEN};
 
     fn run_buffers(n: u64, per_run: usize) -> (alphasort_dmgen::Checksum, Vec<Vec<u8>>) {
@@ -429,21 +226,45 @@ mod tests {
         (cs, bufs)
     }
 
-    fn sort_with_pool(workers: usize) {
-        let (cs, bufs) = run_buffers(3_000, 256);
-        let mut pool = SortPool::new(workers, Representation::KeyPrefix);
+    fn sort_pool(workers: usize, rep: Representation) -> OrderedPool<Vec<u8>, Formed<SortedRun>> {
+        OrderedPool::new("sort-worker", workers, sort_chore(rep))
+    }
+
+    /// Every run of `pool`, in order.
+    fn finish(mut pool: OrderedPool<Vec<u8>, Formed<SortedRun>>) -> Vec<SortedRun> {
+        std::iter::from_fn(|| pool.next_in_order())
+            .map(|(run, _)| run.unwrap())
+            .collect()
+    }
+
+    fn sorted_runs(bufs: Vec<Vec<u8>>, workers: usize) -> Arc<Vec<SortedRun>> {
+        let mut pool = sort_pool(workers, Representation::KeyPrefix);
         for b in bufs {
             pool.submit(b);
         }
-        let (runs, pstats) = pool.finish();
+        Arc::new(finish(pool))
+    }
+
+    fn sort_with_pool(workers: usize) {
+        let (cs, bufs) = run_buffers(3_000, 256);
+        let mut pool = sort_pool(workers, Representation::KeyPrefix);
+        for b in bufs {
+            pool.submit(b);
+        }
+        let mut sort_time = Duration::ZERO;
+        let mut runs = Vec::new();
+        while let Some((run, d)) = pool.next_in_order() {
+            sort_time += d;
+            runs.push(run.unwrap());
+        }
         assert_eq!(runs.len(), 12);
-        assert!(pstats.sort_time > Duration::ZERO);
-        assert_eq!(pstats.runs, 12);
-        assert_eq!(pstats.records, 3_000);
+        assert!(sort_time > Duration::ZERO);
+        assert_eq!(runs.iter().map(SortedRun::len).sum::<usize>(), 3_000);
 
         let runs = Arc::new(runs);
         let mut merger = RunMerger::new(&runs);
-        let mut gather = GatherPool::new(workers, Arc::clone(&runs));
+        let mut gather =
+            OrderedPool::new("gather-worker", workers, gather_chore(Arc::clone(&runs)));
         let mut out = Vec::new();
         loop {
             let ptrs = crate::gather::take_ptrs(&mut merger, 500);
@@ -453,10 +274,10 @@ mod tests {
             gather.submit(ptrs);
             // Keep at most 3 batches in flight (triple buffering analogue).
             while gather.in_flight() > 3 {
-                out.extend_from_slice(&gather.next_buffer().unwrap());
+                out.extend_from_slice(&gather.next_in_order().unwrap().0);
             }
         }
-        while let Some(buf) = gather.next_buffer() {
+        while let Some((buf, _)) = gather.next_in_order() {
             out.extend_from_slice(&buf);
         }
         let report = validate_records(&out, cs).unwrap();
@@ -485,11 +306,11 @@ mod tests {
             .iter()
             .map(|b| alphasort_dmgen::records_of(b)[0].seq())
             .collect();
-        let mut pool = SortPool::new(3, Representation::Record);
+        let mut pool = sort_pool(3, Representation::Record);
         for b in bufs {
             pool.submit(b);
         }
-        let (runs, _) = pool.finish();
+        let runs = finish(pool);
         // Run i must still hold the records of chunk i (identified by the
         // sequence number stamped at generation).
         for (i, run) in runs.iter().enumerate() {
@@ -508,7 +329,7 @@ mod tests {
         // close queues and join workers (a hang here fails the test by
         // timeout).
         let (_, bufs) = run_buffers(1_000, 100);
-        let mut pool = SortPool::new(2, Representation::KeyPrefix);
+        let mut pool = sort_pool(2, Representation::KeyPrefix);
         for b in bufs {
             pool.submit(b);
         }
@@ -516,34 +337,28 @@ mod tests {
         drop(pool);
 
         let (_, bufs) = run_buffers(500, 100);
-        let mut sp = SortPool::new(1, Representation::KeyPrefix);
-        for b in bufs {
-            sp.submit(b);
-        }
-        let (runs, _) = sp.finish();
-        let runs = Arc::new(runs);
+        let runs = sorted_runs(bufs, 1);
         let mut merger = RunMerger::new(&runs);
-        let mut gather = GatherPool::new(2, Arc::clone(&runs));
+        let mut gather = OrderedPool::new("gather-worker", 2, gather_chore(Arc::clone(&runs)));
         gather.submit(crate::gather::take_ptrs(&mut merger, 100));
         gather.submit(crate::gather::take_ptrs(&mut merger, 100));
-        let _ = gather.next_buffer();
+        let _ = gather.next_in_order();
         drop(gather); // one batch still parked/in flight
     }
 
     #[test]
     fn merge_pool_output_matches_serial_merge_gather() {
         let (cs, bufs) = run_buffers(4_000, 300);
-        let mut pool = SortPool::new(2, Representation::KeyPrefix);
-        for b in bufs {
-            pool.submit(b);
-        }
-        let (runs, _) = pool.finish();
-        let runs = Arc::new(runs);
+        let runs = sorted_runs(bufs, 2);
         // Serial reference: full merge + gather.
         let serial = crate::gather::merge_gather_all(&runs);
         for workers in [0, 1, 3] {
             let plan = crate::pmerge::plan_mem_partitions(&runs, 4, 16);
-            let mut mp = MergePool::new(workers, Arc::clone(&runs));
+            let mut mp = OrderedPool::new(
+                "merge-worker",
+                workers,
+                merge_range_chore(Arc::clone(&runs)),
+            );
             for row in &plan.bounds {
                 mp.submit(row.iter().map(|&(s, e)| (s as u32, e as u32)).collect());
             }
@@ -554,19 +369,18 @@ mod tests {
             assert_eq!(out, serial, "{workers} workers");
             validate_records(&out, cs).unwrap();
         }
+        // One range spanning every run is the serial merge too.
+        let mut mp = OrderedPool::new("merge-worker", 1, merge_range_chore(Arc::clone(&runs)));
+        mp.submit(full_bounds(&runs));
+        assert_eq!(mp.next_in_order().unwrap().0, serial);
     }
 
     #[test]
     fn gather_pool_delivers_in_order_despite_racing_workers() {
         let (_, bufs) = run_buffers(2_000, 200);
-        let mut pool = SortPool::new(2, Representation::KeyPrefix);
-        for b in bufs {
-            pool.submit(b);
-        }
-        let (runs, _) = pool.finish();
-        let runs = Arc::new(runs);
+        let runs = sorted_runs(bufs, 2);
         let mut merger = RunMerger::new(&runs);
-        let mut gather = GatherPool::new(4, Arc::clone(&runs));
+        let mut gather = OrderedPool::new("gather-worker", 4, gather_chore(Arc::clone(&runs)));
         let mut batches = 0;
         loop {
             let ptrs = crate::gather::take_ptrs(&mut merger, 37);
@@ -577,12 +391,33 @@ mod tests {
             batches += 1;
         }
         let mut out = Vec::new();
-        while let Some(buf) = gather.next_buffer() {
+        while let Some((buf, _)) = gather.next_in_order() {
             out.extend_from_slice(&buf);
         }
         assert!(batches > 10);
         let recs = alphasort_dmgen::records_of(&out);
         assert_eq!(recs.len(), 2_000);
         assert!(recs.windows(2).all(|w| w[0].key <= w[1].key));
+    }
+
+    #[test]
+    fn try_next_never_blocks_and_keeps_order() {
+        use std::sync::mpsc::{channel, Receiver};
+        // Job 0 waits on a gate the test holds; jobs 1 and 2 finish first.
+        let mut pool = OrderedPool::new("test-worker", 2, |id, gate: Option<Receiver<()>>| {
+            if let Some(gate) = gate {
+                gate.recv().expect("gate sender dropped");
+            }
+            id
+        });
+        let (open, gate) = channel();
+        pool.submit(Some(gate));
+        pool.submit(None);
+        pool.submit(None);
+        assert_eq!(pool.try_next(), None, "job 0 is still running");
+        open.send(()).expect("job 0 waits on the gate");
+        let got: Vec<u64> = std::iter::from_fn(|| pool.next_in_order()).collect();
+        assert_eq!(got, [0, 1, 2]);
+        assert_eq!(pool.in_flight(), 0);
     }
 }

@@ -12,13 +12,16 @@
 //! range outputs in order is therefore *byte-identical* to the serial
 //! merge (the oracle tests in `tests/oracle.rs` hold the drivers to that).
 //!
-//! Planning is generic over a `key_at(run, pos)` probe so the same code
-//! cuts in-memory [`SortedRun`]s (free probes) and scratch runs on striped
-//! disks (each probe reads the stride holding the key).
+//! Planning is generic over a `key_at(run, pos)` probe and the key type,
+//! so the same code cuts in-memory runs of either layout ([`MemRun`]: free
+//! probes) and scratch runs on striped disks (each probe reads the stride
+//! holding the key).
+
+use std::convert::Infallible;
 
 use alphasort_dmgen::KEY_LEN;
 
-use crate::runform::SortedRun;
+use crate::memrun::MemRun;
 use crate::splitter::splitters_from_keys;
 
 /// Keys sampled per requested range when planning (the pool is
@@ -26,10 +29,11 @@ use crate::splitter::splitters_from_keys;
 pub const SAMPLES_PER_RANGE: usize = 32;
 
 /// A partitioned-merge plan: P disjoint key ranges, each cutting every run.
+/// `K` is the key type: fixed Datamation keys or var-len byte strings.
 #[derive(Clone, Debug)]
-pub struct MergePartition {
+pub struct MergePartition<K = [u8; KEY_LEN]> {
     /// The `ranges - 1` quantile splitter keys, ascending.
-    pub splitters: Vec<[u8; KEY_LEN]>,
+    pub splitters: Vec<K>,
     /// `bounds[j][r]` = record positions `[start, end)` of range `j`
     /// within sorted run `r`.
     pub bounds: Vec<Vec<(u64, u64)>>,
@@ -37,7 +41,7 @@ pub struct MergePartition {
     pub range_records: Vec<u64>,
 }
 
-impl MergePartition {
+impl<K> MergePartition<K> {
     /// Number of ranges planned.
     pub fn ranges(&self) -> usize {
         self.bounds.len()
@@ -46,11 +50,11 @@ impl MergePartition {
 
 /// First position in sorted run `run` (length `len`) whose key is not
 /// below `key` — the routing boundary, probed via `key_at`.
-fn lower_bound<E>(
+fn lower_bound<K: Ord, E>(
     run: usize,
     len: u64,
-    key: &[u8; KEY_LEN],
-    key_at: &mut impl FnMut(usize, u64) -> Result<[u8; KEY_LEN], E>,
+    key: &K,
+    key_at: &mut impl FnMut(usize, u64) -> Result<K, E>,
 ) -> Result<u64, E> {
     let (mut lo, mut hi) = (0u64, len);
     while lo < hi {
@@ -68,12 +72,12 @@ fn lower_bound<E>(
 /// lengths, probing keys through `key_at(run, pos)` (`pos` in sorted
 /// order). Duplicate splitters (dup-heavy keys) legitimately produce
 /// empty ranges; the cover/disjointness invariants hold regardless.
-pub fn plan_partitions_with<E>(
+pub fn plan_partitions_with<K: Ord + Clone + Default, E>(
     run_lens: &[u64],
     ranges: usize,
     samples_per_range: usize,
-    mut key_at: impl FnMut(usize, u64) -> Result<[u8; KEY_LEN], E>,
-) -> Result<MergePartition, E> {
+    mut key_at: impl FnMut(usize, u64) -> Result<K, E>,
+) -> Result<MergePartition<K>, E> {
     assert!(ranges >= 1, "need at least one range");
     let total: u64 = run_lens.iter().sum();
 
@@ -128,142 +132,24 @@ pub fn plan_partitions_with<E>(
     })
 }
 
-/// A partitioned-merge plan over variable-length runs: splitters are
-/// byte-string keys instead of fixed arrays, bounds and cover semantics
-/// identical to [`MergePartition`].
-#[derive(Clone, Debug)]
-pub struct VarMergePartition {
-    /// The `ranges - 1` quantile splitter keys, ascending byte strings.
-    pub splitters: Vec<Vec<u8>>,
-    /// `bounds[j][r]` = sorted positions `[start, end)` of range `j`
-    /// within var-len run `r`.
-    pub bounds: Vec<Vec<(u64, u64)>>,
-    /// Records each range holds.
-    pub range_records: Vec<u64>,
-}
-
-impl VarMergePartition {
-    /// Number of ranges planned.
-    pub fn ranges(&self) -> usize {
-        self.bounds.len()
-    }
-}
-
-/// [`lower_bound`] for byte-string keys.
-fn var_lower_bound<E>(
-    run: usize,
-    len: u64,
-    key: &[u8],
-    key_at: &mut impl FnMut(usize, u64) -> Result<Vec<u8>, E>,
-) -> Result<u64, E> {
-    let (mut lo, mut hi) = (0u64, len);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if key_at(run, mid)?.as_slice() < key {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    Ok(lo)
-}
-
-/// [`plan_partitions_with`] for variable-length runs: same proportional
-/// sampling, same quantile splitters (now byte strings via
-/// [`crate::splitter::byte_splitters_from_keys`]), same per-(run, splitter)
-/// binary search. Range `j` holds exactly the records
-/// [`crate::splitter::route_bytes`] sends to `j`, so concatenated range
-/// merges stay byte-identical to the serial merge.
-pub fn plan_var_partitions_with<E>(
-    run_lens: &[u64],
-    ranges: usize,
-    samples_per_range: usize,
-    mut key_at: impl FnMut(usize, u64) -> Result<Vec<u8>, E>,
-) -> Result<VarMergePartition, E> {
-    assert!(ranges >= 1, "need at least one range");
-    let total: u64 = run_lens.iter().sum();
-
-    let mut pool = Vec::new();
-    if total > 0 && ranges > 1 {
-        let want = (ranges * samples_per_range.max(1)) as u64;
-        let stride = (total / want).max(1);
-        for (r, &len) in run_lens.iter().enumerate() {
-            let mut pos = 0;
-            while pos < len {
-                pool.push(key_at(r, pos)?);
-                pos += stride;
-            }
-        }
-    }
-    let splitters = crate::splitter::byte_splitters_from_keys(pool, ranges);
-
-    let mut cuts: Vec<Vec<u64>> = Vec::with_capacity(ranges + 1);
-    cuts.push(vec![0; run_lens.len()]);
-    for s in &splitters {
-        let mut row = Vec::with_capacity(run_lens.len());
-        for (r, &len) in run_lens.iter().enumerate() {
-            row.push(var_lower_bound(r, len, s, &mut key_at)?);
-        }
-        cuts.push(row);
-    }
-    cuts.push(run_lens.to_vec());
-
-    let mut bounds = Vec::with_capacity(ranges);
-    let mut range_records = Vec::with_capacity(ranges);
-    for j in 0..ranges {
-        let row: Vec<(u64, u64)> = cuts[j]
-            .iter()
-            .zip(&cuts[j + 1])
-            .map(|(&s, &e)| (s, e))
-            .collect();
-        range_records.push(row.iter().map(|&(s, e)| e - s).sum());
-        bounds.push(row);
-    }
-    Ok(VarMergePartition {
-        splitters,
-        bounds,
-        range_records,
-    })
-}
-
-/// Plan over in-memory [`crate::varlen::VarRun`]s: probes are free and
-/// cannot fail.
-pub fn plan_var_mem_partitions(
-    runs: &[&crate::varlen::VarRun],
-    ranges: usize,
-    samples_per_range: usize,
-) -> VarMergePartition {
-    let lens: Vec<u64> = runs.iter().map(|r| r.len() as u64).collect();
-    let plan = plan_var_partitions_with(&lens, ranges, samples_per_range, |r, pos| {
-        Ok::<_, std::convert::Infallible>(runs[r].key_at(pos as usize).to_vec())
-    });
-    match plan {
-        Ok(p) => p,
-        Err(e) => match e {},
-    }
-}
-
 /// Plan over in-memory sorted runs (the one-pass driver's case): probes
-/// are free `record_at` calls and cannot fail.
-pub fn plan_mem_partitions(
-    runs: &[SortedRun],
+/// are free and cannot fail.
+pub fn plan_mem_partitions<R: MemRun>(
+    runs: &[R],
     ranges: usize,
     samples_per_range: usize,
-) -> MergePartition {
-    let lens: Vec<u64> = runs.iter().map(|r| r.len() as u64).collect();
-    let plan = plan_partitions_with(&lens, ranges, samples_per_range, |r, pos| {
-        Ok::<_, std::convert::Infallible>(runs[r].record_at(pos as usize).key)
-    });
-    match plan {
-        Ok(p) => p,
-        Err(e) => match e {},
-    }
+) -> MergePartition<R::Key> {
+    let lens: Vec<u64> = runs.iter().map(|r| r.run_len() as u64).collect();
+    plan_partitions_with(&lens, ranges, samples_per_range, |r, pos| {
+        Ok::<_, Infallible>(runs[r].sample_key(pos as usize))
+    })
+    .unwrap_or_else(|e| match e {})
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runform::{form_run, Representation};
+    use crate::runform::{form_run, Representation, SortedRun};
     use alphasort_dmgen::{generate, GenConfig, KeyDistribution, RECORD_LEN};
 
     fn runs_of(n: u64, per_run: usize, dist: KeyDistribution, seed: u64) -> Vec<SortedRun> {
@@ -341,7 +227,7 @@ mod tests {
 
     #[test]
     fn zero_runs_plan_is_empty_but_well_formed() {
-        let plan = plan_mem_partitions(&[], 4, 16);
+        let plan = plan_mem_partitions::<SortedRun>(&[], 4, 16);
         assert_eq!(plan.ranges(), 4);
         assert!(plan.bounds.iter().all(Vec::is_empty));
         assert_eq!(plan.range_records, vec![0, 0, 0, 0]);
@@ -371,9 +257,8 @@ mod tests {
         }
         runs.push(VarRun::from_frames(cur).unwrap());
         let lens: Vec<u64> = runs.iter().map(|r| r.len() as u64).collect();
-        let refs: Vec<&VarRun> = runs.iter().collect();
         for ranges in [1, 2, 4, 8] {
-            let plan = plan_var_mem_partitions(&refs, ranges, SAMPLES_PER_RANGE);
+            let plan = plan_mem_partitions(&runs, ranges, SAMPLES_PER_RANGE);
             assert_eq!(plan.ranges(), ranges);
             assert_eq!(plan.splitters.len(), ranges - 1);
             // Same cover/disjointness invariant as the fixed-layout plan.

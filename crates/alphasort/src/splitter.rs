@@ -10,6 +10,8 @@
 //! run, or range examined it — the property the partitioned merge's
 //! stability argument rests on.
 
+use std::borrow::Borrow;
+
 use alphasort_dmgen::{records_of, KEY_LEN, RECORD_LEN};
 
 /// Sample up to `count` keys from `input` (whole records) with a
@@ -31,17 +33,20 @@ pub fn sample_keys(input: &[u8], count: usize) -> Vec<u8> {
     out
 }
 
-/// Pick `parts - 1` splitter keys from a pooled key sample. The pool is
-/// sorted and its quantiles become the splitters, so every part's key
-/// range should hold roughly the same record count.
-pub fn splitters_from_keys(mut pool: Vec<[u8; KEY_LEN]>, parts: usize) -> Vec<[u8; KEY_LEN]> {
+/// Pick `parts - 1` splitter keys from a pooled key sample — fixed
+/// Datamation keys or var-len byte strings. The pool is sorted and its
+/// quantiles become the splitters, so every part's key range should hold
+/// roughly the same record count. An empty pool (no data anywhere) yields
+/// default keys, which partition nothing incorrectly.
+pub fn splitters_from_keys<K: Ord + Clone + Default>(mut pool: Vec<K>, parts: usize) -> Vec<K> {
     assert!(parts >= 1);
     pool.sort_unstable();
     if pool.is_empty() {
-        // No data anywhere: any splitters partition nothing correctly.
-        return vec![[0u8; KEY_LEN]; parts - 1];
+        return vec![K::default(); parts - 1];
     }
-    (1..parts).map(|k| pool[k * pool.len() / parts]).collect()
+    (1..parts)
+        .map(|k| pool[k * pool.len() / parts].clone())
+        .collect()
 }
 
 /// Pick `nodes - 1` splitter keys from pooled sample payloads (the
@@ -73,35 +78,12 @@ pub fn decode_splitters(payload: &[u8]) -> Vec<[u8; KEY_LEN]> {
 
 /// Which part owns `key` under `splitters`: the first interval whose upper
 /// splitter exceeds the key (keys equal to a splitter go right). A pure
-/// function of the key, so duplicates never straddle parts.
+/// function of the key, so duplicates never straddle parts. `key` is a
+/// fixed key against fixed splitters, or a byte string against `Vec<u8>`
+/// splitters.
 #[inline]
-pub fn route(key: &[u8; KEY_LEN], splitters: &[[u8; KEY_LEN]]) -> usize {
-    splitters.partition_point(|s| s <= key)
-}
-
-/// Pick `parts - 1` splitters from a pooled sample of *byte-string* keys —
-/// the var-len layout's quantile recipe. Same contract as
-/// [`splitters_from_keys`]: sorted quantiles, empty pool degrades to empty
-/// splitters (everything routes to part 0... via [`route_bytes`] an empty
-/// key ties every empty splitter and goes right, which still partitions
-/// nothing incorrectly because there is nothing to partition).
-pub fn byte_splitters_from_keys(mut pool: Vec<Vec<u8>>, parts: usize) -> Vec<Vec<u8>> {
-    assert!(parts >= 1);
-    pool.sort_unstable();
-    if pool.is_empty() {
-        return vec![Vec::new(); parts - 1];
-    }
-    (1..parts)
-        .map(|k| pool[k * pool.len() / parts].clone())
-        .collect()
-}
-
-/// [`route`] for byte-string keys: first interval whose upper splitter
-/// exceeds the key, equal keys go right. Pure in the key, so the var-len
-/// partitioned merge inherits the fixed layout's stability argument.
-#[inline]
-pub fn route_bytes(key: &[u8], splitters: &[Vec<u8>]) -> usize {
-    splitters.partition_point(|s| s.as_slice() <= key)
+pub fn route<S: Borrow<Q>, Q: Ord + ?Sized>(key: &Q, splitters: &[S]) -> usize {
+    splitters.partition_point(|s| s.borrow() <= key)
 }
 
 /// Scatter `input` (whole records) into one byte buffer per part.
@@ -141,7 +123,7 @@ mod tests {
         assert_eq!(route(&[5u8; KEY_LEN], &splitters), 1); // equal goes right
         assert_eq!(route(&[7u8; KEY_LEN], &splitters), 1);
         assert_eq!(route(&[255u8; KEY_LEN], &splitters), 2);
-        assert_eq!(route(&[3u8; KEY_LEN], &[]), 0); // one part, no splitters
+        assert_eq!(route(&[3u8; KEY_LEN], &[] as &[[u8; KEY_LEN]]), 0); // one part, no splitters
     }
 
     #[test]
@@ -173,24 +155,25 @@ mod tests {
         let fixed = decode_splitters(&sample_keys(&input, 400));
         let bytes: Vec<Vec<u8>> = fixed.iter().map(|k| k.to_vec()).collect();
         let fs = splitters_from_keys(fixed, 6);
-        let bs = byte_splitters_from_keys(bytes, 6);
+        let bs = splitters_from_keys(bytes, 6);
         assert_eq!(fs.len(), bs.len());
         for (f, b) in fs.iter().zip(&bs) {
             assert_eq!(&f[..], &b[..]);
-            assert_eq!(route(f, &fs), route_bytes(b, &bs));
+            assert_eq!(route(f, &fs), route(b.as_slice(), &bs));
         }
     }
 
     #[test]
-    fn route_bytes_handles_empty_and_prefix_keys() {
+    fn byte_string_routing_handles_empty_and_prefix_keys() {
         let splitters = vec![b"app".to_vec(), b"apple".to_vec()];
-        assert_eq!(route_bytes(b"", &splitters), 0);
-        assert_eq!(route_bytes(b"ap", &splitters), 0);
-        assert_eq!(route_bytes(b"app", &splitters), 1); // equal goes right
-        assert_eq!(route_bytes(b"appl", &splitters), 1);
-        assert_eq!(route_bytes(b"apple", &splitters), 2);
-        assert_eq!(route_bytes(b"zebra", &splitters), 2);
-        assert_eq!(route_bytes(b"anything", &[]), 0);
+        let route_str = |k: &[u8]| route(k, &splitters);
+        assert_eq!(route_str(b""), 0);
+        assert_eq!(route_str(b"ap"), 0);
+        assert_eq!(route_str(b"app"), 1); // equal goes right
+        assert_eq!(route_str(b"appl"), 1);
+        assert_eq!(route_str(b"apple"), 2);
+        assert_eq!(route_str(b"zebra"), 2);
+        assert_eq!(route(b"anything".as_slice(), &[] as &[Vec<u8>]), 0);
     }
 
     #[test]

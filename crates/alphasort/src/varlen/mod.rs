@@ -17,18 +17,21 @@
 //!   never rescanned. [`MergeEffort`](crate::ovc::MergeEffort) counts key
 //!   bytes touched; `perfbench`'s `str-urls` workload reports them
 //!   (`varlen.ovc_key_bytes`).
-//! * **Drivers** ([`vdriver`]) mirror the fixed one-pass/two-pass shape:
-//!   overlapped run formation, serial or splitter-partitioned merges
-//!   (byte-identical either way), and resumable two-pass runs.
+//! * **Driver**: none of its own. [`VarRun`] implements
+//!   [`crate::memrun::MemRun`], so [`crate::driver::one_pass`] runs var-len
+//!   input through the same pipeline as Datamation: run formation that
+//!   overlaps input on the sort workers, the OVC tournament on the root,
+//!   gather chores on the workers, and the splitter-partitioned merge
+//!   (byte-identical to the serial one). Var-len sorts run in memory:
+//!   [`crate::driver::two_pass`] rejects them, because the scratch stores
+//!   assume fixed-size records.
 //!
 //! Layout choice moves CPU time only: for a given input every worker
 //! count and merge mode produces byte-identical output, pinned by the
 //! differential oracle.
 
-pub mod vdriver;
 pub mod vmerge;
 pub mod vrun;
 
-pub use vdriver::{one_pass_var, partition_sort_var, sort_var_bytes, two_pass_var, MemVarScratch};
-pub use vmerge::{MergeMode, VarRunCursor, VarRunMerger, VarRunStream, VarStreamMerger};
+pub use vmerge::{MergeMode, VarRunMerger};
 pub use vrun::{lcp, VarFramer, VarRun};

@@ -1,6 +1,6 @@
 //! LCP/OVC-aware merging of variable-length runs.
 //!
-//! The var-len counterparts of [`crate::merge`]'s two mergers, with the
+//! The var-len counterpart of [`crate::merge::RunMerger`], with the
 //! offset-value coding of [`crate::ovc`] threaded through the loser tree:
 //! every head carries `off[h]` = exact LCP of its key with the **last
 //! emitted key** (the base). Since every live head is ≥ the base,
@@ -21,13 +21,11 @@
 //! corpora where OVC wins (and the random-key corpora where the paper
 //! predicts it will not).
 
-use std::io;
-
 use crate::entry::checked_run_len;
 use crate::merge::MergedPtr;
 use crate::ovc::MergeEffort;
 use crate::rs::LoserTree;
-use crate::varlen::vrun::{lcp, VarRun};
+use crate::varlen::vrun::VarRun;
 
 /// How head-to-head comparisons resolve.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -136,7 +134,7 @@ impl<'a> VarRunMerger<'a> {
     /// Merge only `bounds[r] = [start, end)` of each run's sorted order —
     /// one range of a partitioned merge. Equal keys still tie-break by run
     /// index, so concatenating range merges planned by
-    /// [`crate::pmerge::plan_var_partitions_with`] reproduces the serial
+    /// [`crate::pmerge::plan_partitions_with`] reproduces the serial
     /// merge byte for byte.
     pub fn with_bounds(runs: Vec<&'a VarRun>, bounds: &[(u32, u32)], mode: MergeMode) -> Self {
         assert!(!runs.is_empty(), "need at least one run to merge");
@@ -168,11 +166,6 @@ impl<'a> VarRunMerger<'a> {
             remaining,
             effort,
         }
-    }
-
-    /// Total records still to come.
-    pub fn remaining(&self) -> usize {
-        self.remaining
     }
 }
 
@@ -242,188 +235,6 @@ impl Iterator for VarRunMerger<'_> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         (self.remaining, Some(self.remaining))
-    }
-}
-
-/// A stream of key-ascending var-len records (one run coming back from
-/// scratch in a two-pass sort).
-pub trait VarRunStream {
-    /// Key of the head record, `None` when exhausted.
-    fn head_key(&self) -> Option<&[u8]>;
-    /// Whole frame of the head record.
-    fn head_frame(&self) -> Option<&[u8]>;
-    /// Discard the head. Returns the LCP of the *new* head's key with the
-    /// record just discarded when the stream knows it (sealed runs carry
-    /// the formation-time table); `None` means the merger must scan.
-    fn advance(&mut self) -> io::Result<Option<u32>>;
-}
-
-/// A [`VarRunStream`] over a (possibly bounded) window of a [`VarRun`].
-pub struct VarRunCursor<'a> {
-    run: &'a VarRun,
-    pos: usize,
-    end: usize,
-}
-
-impl<'a> VarRunCursor<'a> {
-    /// Stream the whole run.
-    pub fn new(run: &'a VarRun) -> Self {
-        VarRunCursor {
-            run,
-            pos: 0,
-            end: run.len(),
-        }
-    }
-
-    /// Stream sorted positions `[start, end)`.
-    pub fn with_bounds(run: &'a VarRun, start: usize, end: usize) -> Self {
-        assert!(start <= end && end <= run.len(), "bounds outside run");
-        VarRunCursor { run, pos: start, end }
-    }
-}
-
-impl VarRunStream for VarRunCursor<'_> {
-    fn head_key(&self) -> Option<&[u8]> {
-        (self.pos < self.end).then(|| self.run.key_at(self.pos))
-    }
-
-    fn head_frame(&self) -> Option<&[u8]> {
-        (self.pos < self.end).then(|| self.run.frame_at(self.pos))
-    }
-
-    fn advance(&mut self) -> io::Result<Option<u32>> {
-        self.pos += 1;
-        Ok((self.pos < self.end).then(|| self.run.lcp_with_prev(self.pos) as u32))
-    }
-}
-
-/// Stream head comparison: same contract as [`leaf_less`], but heads come
-/// from the streams and liveness is `head_key().is_some()`.
-#[inline]
-fn stream_leaf_less<S: VarRunStream>(
-    streams: &[S],
-    off: &[u32],
-    mode: MergeMode,
-    effort: &mut MergeEffort,
-    a: usize,
-    b: usize,
-) -> bool {
-    match (streams[a].head_key(), streams[b].head_key()) {
-        (None, _) => false,
-        (Some(_), None) => true,
-        (Some(ka), Some(kb)) => {
-            effort.compares += 1;
-            match mode {
-                MergeMode::Naive => suffix_less(ka, kb, 0, a < b, effort),
-                MergeMode::Ovc => {
-                    let (oa, ob) = (off[a], off[b]);
-                    if oa != ob {
-                        return oa > ob;
-                    }
-                    suffix_less(ka, kb, oa as usize, a < b, effort)
-                }
-            }
-        }
-    }
-}
-
-/// K-way merger over var-len record streams — the var-len
-/// [`crate::merge::StreamMerger`], with the same offset-value coding as
-/// [`VarRunMerger`]. The base key is copied out before the winner advances
-/// (the stream may drop its storage); successor offsets use the stream's
-/// LCP hint when it has one and a scan against the copied base otherwise.
-pub struct VarStreamMerger<S: VarRunStream> {
-    streams: Vec<S>,
-    off: Vec<u32>,
-    /// The last emitted key (the OVC base), owned.
-    base: Vec<u8>,
-    tree: LoserTree,
-    mode: MergeMode,
-    /// Comparison-effort counters.
-    pub effort: MergeEffort,
-}
-
-impl<S: VarRunStream> VarStreamMerger<S> {
-    /// Start merging `streams` (each key-ascending).
-    ///
-    /// # Panics
-    /// If `streams` is empty.
-    pub fn new(streams: Vec<S>, mode: MergeMode) -> Self {
-        assert!(!streams.is_empty(), "need at least one stream to merge");
-        let off = vec![0u32; streams.len()];
-        let mut effort = MergeEffort::default();
-        let tree = LoserTree::new(streams.len(), |a, b| {
-            stream_leaf_less(&streams, &off, mode, &mut effort, a, b)
-        });
-        VarStreamMerger {
-            streams,
-            off,
-            base: Vec::new(),
-            tree,
-            mode,
-            effort,
-        }
-    }
-
-    /// Append the next frame in global key order to `out`; `false` when
-    /// every stream is exhausted.
-    pub fn next_into(&mut self, out: &mut Vec<u8>) -> io::Result<bool> {
-        let Self {
-            streams,
-            off,
-            base,
-            tree,
-            mode,
-            effort,
-        } = self;
-        let w = tree.winner();
-        let Some(frame) = streams[w].head_frame() else {
-            return Ok(false);
-        };
-        out.extend_from_slice(frame);
-        let w_off = off[w] as usize;
-        base.clear();
-        base.extend_from_slice(streams[w].head_key().expect("live head has a key"));
-
-        if *mode == MergeMode::Ovc {
-            for h in 0..streams.len() {
-                if h == w {
-                    continue;
-                }
-                let Some(hk) = streams[h].head_key() else {
-                    continue;
-                };
-                let o = off[h] as usize;
-                if o != w_off {
-                    off[h] = off[h].min(w_off as u32);
-                } else {
-                    let n = hk.len().min(base.len());
-                    let mut i = w_off;
-                    while i < n {
-                        effort.key_bytes += 1;
-                        if hk[i] != base[i] {
-                            break;
-                        }
-                        i += 1;
-                    }
-                    off[h] = i as u32;
-                }
-            }
-        }
-        let hint = streams[w].advance()?;
-        if *mode == MergeMode::Ovc {
-            off[w] = match (hint, streams[w].head_key()) {
-                (_, None) => 0,
-                (Some(h), Some(_)) => h,
-                (None, Some(nk)) => {
-                    let l = lcp(nk, base);
-                    effort.key_bytes += l as u64 + 1;
-                    l as u32
-                }
-            };
-        }
-        tree.replay(|a, b| stream_leaf_less(streams, off, *mode, effort, a, b));
-        Ok(true)
     }
 }
 
@@ -516,27 +327,13 @@ mod tests {
     }
 
     #[test]
-    fn stream_merger_matches_run_merger() {
-        for mode in [MergeMode::Ovc, MergeMode::Naive] {
-            let (buf, runs) = runs_of(TextCorpus::Urls, 500, 120, 9);
-            let (want, _) = merged_bytes(&runs, mode);
-            let cursors: Vec<VarRunCursor> = runs.iter().map(VarRunCursor::new).collect();
-            let mut m = VarStreamMerger::new(cursors, mode);
-            let mut got = Vec::new();
-            while m.next_into(&mut got).unwrap() {}
-            assert_eq!(got, want, "{mode:?}");
-            assert_eq!(got, stable_reference(&buf), "{mode:?}");
-        }
-    }
-
-    #[test]
     fn bounded_merges_concatenate_to_the_full_merge() {
         let (_, runs) = runs_of(TextCorpus::ZipfianWords { max_words: 3 }, 900, 130, 2);
         let refs: Vec<&VarRun> = runs.iter().collect();
         let full: Vec<MergedPtr> =
             VarRunMerger::new(refs.clone(), MergeMode::Ovc).collect();
         let lens: Vec<u64> = runs.iter().map(|r| r.len() as u64).collect();
-        let plan = crate::pmerge::plan_var_partitions_with(&lens, 4, 16, |r, pos| {
+        let plan = crate::pmerge::plan_partitions_with(&lens, 4, 16, |r, pos| {
             Ok::<_, std::convert::Infallible>(runs[r].key_at(pos as usize).to_vec())
         })
         .unwrap();

@@ -131,17 +131,6 @@ pub struct VarRun {
 impl VarRun {
     /// Parse `buf` (whole frames) and sort it.
     pub fn from_frames(buf: Vec<u8>) -> io::Result<VarRun> {
-        Self::build(buf, false)
-    }
-
-    /// Parse `buf` whose frames are already key-ascending (a sealed scratch
-    /// run read back for the merge): no sort, but the LCP table is still
-    /// computed so resumed merges get the same O(1) successor coding.
-    pub fn presorted(buf: Vec<u8>) -> io::Result<VarRun> {
-        Self::build(buf, true)
-    }
-
-    fn build(buf: Vec<u8>, presorted: bool) -> io::Result<VarRun> {
         checked_run_len(buf.len(), "VarRun frame buffer bytes");
         let mut descs = Vec::new();
         let mut off = 0usize;
@@ -161,48 +150,29 @@ impl VarRun {
         checked_run_len(descs.len(), "VarRun::from_frames");
 
         let key_of = |d: &RecDesc| &buf[d.key_off as usize..(d.key_off + d.key_len) as usize];
-        let order: Vec<u32> = if presorted {
-            (0..descs.len() as u32).collect()
-        } else {
-            // (key-prefix, arrival index) entries; the comparator overflows
-            // to the full key only on prefix ties (short or shared-prefix
-            // keys), then to arrival order — the unique stable permutation.
-            let mut entries: Vec<(u64, u32)> = descs
-                .iter()
-                .enumerate()
-                .map(|(i, d)| (key_prefix_u64(key_of(d)), i as u32))
-                .collect();
-            quicksort_by(&mut entries, |a, b| {
-                if a.0 != b.0 {
-                    a.0 < b.0
-                } else {
-                    let (ka, kb) = (key_of(&descs[a.1 as usize]), key_of(&descs[b.1 as usize]));
-                    (ka, a.1) < (kb, b.1)
-                }
-            });
-            entries.into_iter().map(|(_, i)| i).collect()
-        };
+        // (key-prefix, arrival index) entries; the comparator overflows to
+        // the full key only on prefix ties (short or shared-prefix keys),
+        // then to arrival order — the unique stable permutation.
+        let mut entries: Vec<(u64, u32)> = descs
+            .iter()
+            .enumerate()
+            .map(|(i, d)| (key_prefix_u64(key_of(d)), i as u32))
+            .collect();
+        quicksort_by(&mut entries, |a, b| {
+            if a.0 != b.0 {
+                a.0 < b.0
+            } else {
+                let (ka, kb) = (key_of(&descs[a.1 as usize]), key_of(&descs[b.1 as usize]));
+                (ka, a.1) < (kb, b.1)
+            }
+        });
+        let order: Vec<u32> = entries.into_iter().map(|(_, i)| i).collect();
 
         let mut lcp_prev = vec![0u32; order.len()];
         for p in 1..order.len() {
             let ka = key_of(&descs[order[p - 1] as usize]);
             let kb = key_of(&descs[order[p] as usize]);
             lcp_prev[p] = lcp(ka, kb) as u32;
-        }
-
-        // Presorted buffers must actually be sorted: a scratch run that came
-        // back out of order is corruption, not a valid merge input.
-        if presorted {
-            for p in 1..order.len() {
-                let ka = key_of(&descs[order[p - 1] as usize]);
-                let kb = key_of(&descs[order[p] as usize]);
-                if ka > kb {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("presorted var-len run out of order at record {p}"),
-                    ));
-                }
-            }
         }
 
         Ok(VarRun {
@@ -221,11 +191,6 @@ impl VarRun {
     /// Whether the run holds no records.
     pub fn is_empty(&self) -> bool {
         self.descs.is_empty()
-    }
-
-    /// Total frame bytes.
-    pub fn bytes(&self) -> u64 {
-        self.buf.len() as u64
     }
 
     #[inline]
@@ -254,7 +219,7 @@ impl VarRun {
         self.lcp_prev[pos] as usize
     }
 
-    /// The sorted frames, concatenated — what a scratch spill writes.
+    /// The sorted frames, concatenated.
     pub fn sorted_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.buf.len());
         for p in 0..self.len() {
@@ -267,7 +232,7 @@ impl VarRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alphasort_dmgen::{build_var_record, generate_varlen, var_records_of, TextCorpus, VarGenConfig};
+    use alphasort_dmgen::{generate_varlen, var_records_of, TextCorpus, VarGenConfig};
 
     fn corpus_buf(corpus: TextCorpus, n: u64, seed: u64) -> Vec<u8> {
         generate_varlen(VarGenConfig {
@@ -365,19 +330,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn presorted_validates_order() {
-        let run = VarRun::from_frames(corpus_buf(TextCorpus::Urls, 50, 3)).unwrap();
-        let sorted = run.sorted_bytes();
-        let re = VarRun::presorted(sorted).unwrap();
-        assert_eq!(re.len(), 50);
-        // A deliberately unsorted buffer must be refused.
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&build_var_record(b"zzz", b"AAAAAAAA"));
-        bad.extend_from_slice(&build_var_record(b"aaa", b"BBBBBBBB"));
-        assert!(VarRun::presorted(bad).is_err());
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //! pinned from the outside (CI's merge matrix) via `ORACLE_MERGE_WORKERS`,
 //! a comma-separated list.
 
-use alphasort_core::baseline::{partition_sort, PartitionSortConfig};
+use alphasort_core::baseline::{
+    partition_sort, partition_sort_var, sort_var_bytes, PartitionSortConfig,
+};
 use alphasort_core::driver::{one_pass, two_pass, MemScratch, ScratchStore};
 use alphasort_core::io::{MemSink, MemSource};
-use alphasort_core::varlen::{partition_sort_var, sort_var_bytes, two_pass_var, MemVarScratch};
 use alphasort_core::{RecordLayout, SortConfig};
 use alphasort_dmgen::{
     generate, generate_varlen, records_of, records_of_mut, var_records_of, GenConfig,
@@ -264,30 +265,6 @@ fn run_one_pass_var(data: &[u8], cfg: &SortConfig) -> Vec<u8> {
     sink.into_inner()
 }
 
-fn run_two_pass_var(data: &[u8], cfg: &SortConfig, scratch: &mut MemVarScratch) -> Vec<u8> {
-    let mut source = MemSource::new(data.to_vec(), 997);
-    let mut sink = MemSink::new();
-    two_pass_var(&mut source, &mut sink, scratch, cfg).unwrap();
-    sink.into_inner()
-}
-
-/// A var-len scratch pretending the middle run survived a crash: frames for
-/// records `[run_records, 2*run_records)` pre-sorted exactly as pass 1
-/// would have spilled them.
-fn resumed_var_scratch(data: &[u8], run_records: usize) -> MemVarScratch {
-    let recs = var_records_of(data).expect("corpus parses");
-    assert!(recs.len() >= 3 * run_records, "need 3+ runs");
-    let window = &recs[run_records..2 * run_records];
-    let mut idx: Vec<usize> = (0..window.len()).collect();
-    idx.sort_by(|&a, &b| window[a].key().cmp(window[b].key()).then(a.cmp(&b)));
-    let mut bytes = Vec::new();
-    for i in idx {
-        bytes.extend_from_slice(window[i].frame());
-    }
-    MemVarScratch::with_recovered(vec![(run_records as u64, bytes)])
-        .expect("recovered run validates")
-}
-
 /// Run every var-len driver configuration over one corpus and compare all
 /// outputs against the stable reference — mirrors [`oracle_case`].
 fn var_oracle_case(records: u64, seed: u64, corpus: TextCorpus) {
@@ -332,27 +309,6 @@ fn var_oracle_case(records: u64, seed: u64, corpus: TextCorpus) {
         let got = run_one_pass_var(&data, &cfg);
         var_assert_identical(&got, &want, &format!("one-pass P={p} [{what}]"));
     }
-
-    // Two-pass, serial final merge.
-    let got = run_two_pass_var(&data, &base, &mut MemVarScratch::new());
-    var_assert_identical(&got, &want, &format!("two-pass serial [{what}]"));
-
-    // Two-pass, partitioned + resumed at every worker count.
-    for p in merge_worker_counts() {
-        let cfg = SortConfig {
-            merge_workers: p,
-            ..base.clone()
-        };
-        let got = run_two_pass_var(&data, &cfg, &mut MemVarScratch::new());
-        var_assert_identical(&got, &want, &format!("two-pass P={p} [{what}]"));
-
-        let got = run_two_pass_var(&data, &cfg, &mut resumed_var_scratch(&data, run_records));
-        var_assert_identical(&got, &want, &format!("two-pass resumed P={p} [{what}]"));
-    }
-
-    // Resumed two-pass with the serial merge, for completeness.
-    let got = run_two_pass_var(&data, &base, &mut resumed_var_scratch(&data, run_records));
-    var_assert_identical(&got, &want, &format!("two-pass resumed serial [{what}]"));
 }
 
 #[test]

@@ -2,13 +2,12 @@
 //! keeps equal-keyed records in input order (run-local index tie-break +
 //! the merge's run-number tie-break). §4 credits replacement-selection with
 //! stability; this shows the QuickSort pipeline matches it — and that the
-//! variable-length pipeline matches it too, across serial, partitioned,
-//! and crash-resumed merges.
+//! variable-length pipeline matches it too, across serial and partitioned
+//! merges.
 
 use alphasort_core::driver::one_pass;
 use alphasort_core::io::{MemSink, MemSource};
 use alphasort_core::runform::Representation;
-use alphasort_core::varlen::{two_pass_var, MemVarScratch};
 use alphasort_core::{RecordLayout, SortConfig};
 use alphasort_dmgen::{
     generate, generate_varlen, records_of, var_records_of, GenConfig, KeyDistribution, SplitMix64,
@@ -86,23 +85,9 @@ fn assert_var_stable(out: &[u8], what: &str) {
     }
 }
 
-/// A var-len scratch with the middle run pre-formed (stable-sorted), as a
-/// crash-resumed pass 2 would see it.
-fn resumed_var_scratch(data: &[u8], run_records: usize) -> MemVarScratch {
-    let recs = var_records_of(data).expect("corpus parses");
-    let window = &recs[run_records..2 * run_records];
-    let mut idx: Vec<usize> = (0..window.len()).collect();
-    idx.sort_by(|&a, &b| window[a].key().cmp(window[b].key()).then(a.cmp(&b)));
-    let mut bytes = Vec::new();
-    for i in idx {
-        bytes.extend_from_slice(window[i].frame());
-    }
-    MemVarScratch::with_recovered(vec![(run_records as u64, bytes)]).unwrap()
-}
-
-/// Duplicate-heavy string corpora through one-pass serial, one-pass
-/// partitioned (1/2/4/8 ranges), and two-pass resumed merges: arrival order
-/// of equal keys survives every merge topology.
+/// Duplicate-heavy string corpora through one-pass serial and one-pass
+/// partitioned (1/2/4/8 ranges) merges: arrival order of equal keys
+/// survives every merge topology.
 #[test]
 fn varlen_pipeline_is_stable() {
     for corpus in [
@@ -141,22 +126,7 @@ fn varlen_pipeline_is_stable() {
             let mut sink = MemSink::new();
             one_pass(&mut source, &mut sink, &cfg).unwrap();
             assert_var_stable(sink.data(), &format!("{name} P={p}"));
-
-            // Resumed two-pass: the recovered middle run merges back into
-            // arrival order even though it was formed "before the crash".
-            let mut source = MemSource::new(data.clone(), 1_003);
-            let mut sink = MemSink::new();
-            let mut scratch = resumed_var_scratch(&data, run_records);
-            two_pass_var(&mut source, &mut sink, &mut scratch, &cfg).unwrap();
-            assert_var_stable(sink.data(), &format!("{name} resumed P={p}"));
         }
-
-        // Resumed two-pass with the serial merge.
-        let mut source = MemSource::new(data.clone(), 1_003);
-        let mut sink = MemSink::new();
-        let mut scratch = resumed_var_scratch(&data, run_records);
-        two_pass_var(&mut source, &mut sink, &mut scratch, &base).unwrap();
-        assert_var_stable(sink.data(), &format!("{name} resumed serial"));
     }
 }
 

@@ -9,7 +9,6 @@ use std::io;
 
 use alphasort_core::driver::one_pass;
 use alphasort_core::io::{MemSink, MemSource};
-use alphasort_core::varlen::{two_pass_var, MemVarScratch};
 use alphasort_core::{RecordLayout, SortConfig};
 use alphasort_dmgen::{
     encode_var_record, generate_varlen, var_records_of, SplitMix64, TextCorpus, VarGenConfig,
@@ -45,14 +44,6 @@ fn sort_one_pass(data: &[u8], chunk: usize, cfg: &SortConfig) -> io::Result<Vec<
     Ok(sink.into_inner())
 }
 
-fn sort_two_pass(data: &[u8], chunk: usize, cfg: &SortConfig) -> io::Result<Vec<u8>> {
-    let mut source = MemSource::new(data.to_vec(), chunk);
-    let mut sink = MemSink::new();
-    let mut scratch = MemVarScratch::new();
-    two_pass_var(&mut source, &mut sink, &mut scratch, cfg)?;
-    Ok(sink.into_inner())
-}
-
 /// Zero-length keys: every record compares equal, so the output must be the
 /// input in arrival order — through every chunking, including 1-byte reads.
 #[test]
@@ -66,8 +57,6 @@ fn zero_length_keys_survive_every_boundary() {
     for chunk in [1usize, 7, 8, 9, 997] {
         let got = sort_one_pass(&data, chunk, &var_cfg(37)).unwrap();
         assert_eq!(got, want, "one-pass chunk {chunk}");
-        let got = sort_two_pass(&data, chunk, &var_cfg(37)).unwrap();
-        assert_eq!(got, want, "two-pass chunk {chunk}");
     }
 }
 
@@ -109,12 +98,10 @@ fn frames_straddle_chunk_and_run_boundaries() {
         };
         let got = sort_one_pass(&data, chunk, &cfg).unwrap();
         assert_eq!(got, want, "case {case} one-pass {} chunk {chunk}", corpus.name());
-        let got = sort_two_pass(&data, chunk, &cfg).unwrap();
-        assert_eq!(got, want, "case {case} two-pass {} chunk {chunk}", corpus.name());
     }
 }
 
-/// A truncated trailing record is an attributed error from both drivers.
+/// A truncated trailing record is an attributed error.
 #[test]
 fn truncated_trailing_record_is_attributed() {
     let data = generate_varlen(VarGenConfig {
@@ -123,14 +110,12 @@ fn truncated_trailing_record_is_attributed() {
         corpus: TextCorpus::Urls,
     });
     let cut = data.len() - 5;
-    for sorter in [sort_one_pass, sort_two_pass] {
-        let err = sorter(&data[..cut], 64, &var_cfg(10)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(
-            err.to_string().contains("input ends mid-record"),
-            "unattributed error: {err}"
-        );
-    }
+    let err = sort_one_pass(&data[..cut], 64, &var_cfg(10)).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert!(
+        err.to_string().contains("input ends mid-record"),
+        "unattributed error: {err}"
+    );
 }
 
 /// Cut the input at every kind of position: on a frame boundary the prefix

@@ -362,6 +362,42 @@ mod tests {
     }
 
     #[test]
+    fn varlen_two_pass_plan_sorts_in_memory_and_leaves_the_volume_untouched() {
+        use alphasort_core::RecordLayout;
+        use alphasort_dmgen::{generate_varlen, var_records_of, TextCorpus, VarGenConfig};
+
+        let data = generate_varlen(VarGenConfig {
+            records: 4_000,
+            seed: 17,
+            corpus: TextCorpus::Urls,
+        });
+        let recs = var_records_of(&data).unwrap();
+        let mut idx: Vec<usize> = (0..recs.len()).collect();
+        idx.sort_by(|&a, &b| recs[a].key().cmp(recs[b].key()).then(a.cmp(&b)));
+        let want: Vec<u8> = idx.iter().flat_map(|&i| recs[i].frame().to_vec()).collect();
+
+        // Budget far under the input: admission plans two passes.
+        let mut s = spec(data.len() as u64, 32 << 10, data.len() as u64);
+        s.layout = RecordLayout::VarLen;
+        assert_eq!(s.plan(), PassPlan::TwoPass);
+        let storages: Vec<Arc<MemStorage>> = (0..2).map(|_| Arc::new(MemStorage::new())).collect();
+        let volume = striped_volume(&storages);
+        let backing = ScratchBacking::SharedVolume(Arc::clone(&volume), 64 << 10);
+        let path = tmp_manifest("varlen");
+        let (out, stats, plan) =
+            run_job(18, &s, data, &backing, &CancelToken::new(), Some(&path)).unwrap();
+        assert_eq!(out, want);
+        assert_eq!(plan, PassPlan::OnePass, "var-len sorts run in memory");
+        assert!(stats.one_pass);
+        assert!(
+            storages.iter().all(|st| st.len() == 0),
+            "no run reached the volume"
+        );
+        assert_eq!(volume.free_bytes(), 0, "no extent was ever allocated");
+        assert!(!path.exists(), "manifest removed after completion");
+    }
+
+    #[test]
     fn pre_canceled_token_stops_the_job_at_the_first_chunk() {
         let (data, _) = generate(GenConfig::datamation(2_000, 14));
         let s = spec(data.len() as u64, 4 << 20, 0);

@@ -45,7 +45,9 @@ pub struct JobSpec {
     /// Record model (see `alphasort_core::entry::RecordLayout`). Optional
     /// on the wire; absent means fixed Datamation records, so old clients
     /// keep working unchanged. `varlen` streams length-prefixed frames with
-    /// string keys through the LCP/OVC-aware pipeline.
+    /// string keys through the LCP/OVC-aware pipeline, always in memory
+    /// (scratch runs hold fixed-size records), whatever [`JobSpec::plan`]
+    /// says.
     pub layout: RecordLayout,
     /// Client-supplied idempotency key. Optional on the wire. With a
     /// journaling daemon, re-submitting the same key never executes twice:

@@ -17,11 +17,13 @@
 //!         [--trace-out TRACE.json] [--metrics-out METRICS.json]
 //! ```
 //!
-//! `--layout varlen` sorts length-prefixed records with string keys through
-//! the LCP/OVC-aware pipeline instead of fixed 100-byte Datamation records;
-//! with `--gen` the input is drawn from a named text corpus (`--corpus`,
-//! default `urls`; see `TextCorpus` for the registry) and `--verify` checks
-//! the output is a sorted permutation of the input frames.
+//! `--layout varlen` sorts length-prefixed records with string keys (the
+//! runs merge on LCP/OVC codes) instead of fixed 100-byte Datamation
+//! records; with `--gen` the input is drawn from a named text corpus
+//! (`--corpus`, default `urls`; see `TextCorpus` for the registry) and
+//! `--verify` checks the output is a sorted permutation of the input
+//! frames. Var-len sorts run in memory: `--two-pass` with `--layout varlen`
+//! is a usage error (exit 2).
 //!
 //! `--merge-workers N` cuts the final merge into `N` disjoint key ranges
 //! by sampled splitters and merges them in parallel (0, the default, keeps
@@ -40,7 +42,9 @@
 //! persists a run manifest there. After a crash, re-running with `--resume`
 //! verifies the surviving runs against the manifest and re-forms only what
 //! is missing or corrupt. `--io-retries` / `--io-backoff-ms` set the scratch
-//! volume's transient-IO retry budget.
+//! volume's transient-IO retry budget. Scratch runs hold fixed-size
+//! records, so `--scratch-dir` applies to Datamation sorts only; var-len
+//! sorts run in memory.
 
 use std::io;
 use std::path::Path;
@@ -197,6 +201,13 @@ fn parse_args() -> Result<Args, ExitCode> {
     }
     if args.resume && args.scratch_dir.is_none() {
         eprintln!("--resume requires --scratch-dir");
+        return Err(usage());
+    }
+    if args.two_pass && args.layout == RecordLayout::VarLen {
+        eprintln!(
+            "--two-pass does not take --layout varlen: scratch runs hold fixed-size \
+             records, so var-len sorts run in memory (one pass)"
+        );
         return Err(usage());
     }
     args.input = pos.remove(0);
@@ -383,12 +394,6 @@ fn main() -> ExitCode {
         merge_workers: args.merge_workers,
         layout: args.layout,
     };
-    if args.layout == RecordLayout::VarLen && args.scratch_dir.is_some() {
-        eprintln!(
-            "note: var-len two-pass sorts currently spill to in-memory scratch; \
-             --scratch-dir is ignored for run storage"
-        );
-    }
 
     // Start recording after generation so the trace covers only the sort.
     let tracing = args.trace_out.is_some() || args.metrics_out.is_some();

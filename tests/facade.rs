@@ -89,3 +89,38 @@ fn unknown_size_defaults_to_two_pass() {
     assert_eq!(outcome.plan, PassPlan::TwoPass);
     validate_records(sink.data(), cs).unwrap();
 }
+
+#[test]
+fn varlen_input_over_budget_sorts_in_memory_and_reports_one_pass() {
+    use alphasort_suite::dmgen::{generate_varlen, var_records_of, TextCorpus, VarGenConfig};
+    use alphasort_suite::sort::RecordLayout;
+
+    let data = generate_varlen(VarGenConfig {
+        records: 6_000,
+        seed: 5,
+        corpus: TextCorpus::Urls,
+    });
+    let recs = var_records_of(&data).unwrap();
+    let mut idx: Vec<usize> = (0..recs.len()).collect();
+    idx.sort_by(|&a, &b| recs[a].key().cmp(recs[b].key()));
+    let want: Vec<u8> = idx.iter().flat_map(|&i| recs[i].frame().to_vec()).collect();
+
+    // A budget a tenth of the input: the planner says two passes, but
+    // var-len runs cannot spill to scratch, so the sort runs in memory.
+    let budget = data.len() as u64 / 10;
+    let mut source = MemSource::new(data, 10_000);
+    let mut sink = MemSink::new();
+    let mut scratch = MemScratch::new(100 * RECORD_LEN);
+    let sorter = ExternalSorter::new(SortConfig {
+        run_records: 500,
+        gather_batch: 200,
+        memory_budget: budget,
+        layout: RecordLayout::VarLen,
+        ..Default::default()
+    });
+    let outcome = sorter.sort(&mut source, &mut sink, &mut scratch).unwrap();
+    assert_eq!(outcome.plan, PassPlan::OnePass);
+    assert!(outcome.stats.one_pass);
+    assert_eq!(scratch.run_count(), 0);
+    assert_eq!(sink.data(), &want[..]);
+}
