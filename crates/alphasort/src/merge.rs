@@ -3,9 +3,18 @@
 //! "AlphaSort runs a tournament scanning the ten QuickSorted runs of the
 //! (key-prefix, pointer) pairs in sequential order, picking the minimum
 //! key-prefix among the runs. If there is a tie, it examines the full keys
-//! in the records." (§7). Because the tree has one node per *run* — ten to
-//! a hundred, not a million — it stays cache resident; the expensive part
-//! is the gather that follows ([`crate::gather`]).
+//! in the records." (§7).
+//!
+//! The tree has one node per *run* (ten to a hundred, not a million), so
+//! its nodes stay cache resident. The keys it compares do not: a run
+//! head's key lives in its record, and the records sit in pseudo-random
+//! order across megabytes of run buffers. [`RunMerger`] therefore keeps
+//! each run head's 8-byte key prefix in a dense `heads` array and
+//! compares those; records are read only when two prefixes tie. The
+//! prefixes come in blocks of `HEAD_BLOCK` (64) per run: a refill reads
+//! the next 64 records of the run's sorted order back to back, so their
+//! cache misses overlap, where reading one head per advance would wait on
+//! each miss in turn. DESIGN.md "Merge hot loop" has the measurements.
 //!
 //! Two mergers:
 //! * [`RunMerger`] — merges in-memory [`SortedRun`]s, yielding (run, pos)
@@ -28,6 +37,9 @@ pub struct MergedPtr {
     pub pos: u32,
 }
 
+/// Upcoming key prefixes cached per run: 512 bytes a run.
+const HEAD_BLOCK: usize = 64;
+
 /// K-way merger over in-memory sorted runs.
 ///
 /// Yields [`MergedPtr`]s in global key order — the "sorted string of record
@@ -38,6 +50,14 @@ pub struct RunMerger<'a> {
     /// One-past-the-end sorted position per run; `run.len()` for a full
     /// merge, a partition cut for a range-restricted one.
     end: Vec<u32>,
+    /// Key prefix of each run's head record; `u64::MAX` once the run is
+    /// exhausted (a live head with that prefix is told apart on the tie).
+    heads: Vec<u64>,
+    /// Sorted position of `blocks[r][0]`.
+    base: Vec<u32>,
+    /// Prefixes of positions `base[r]..` of run `r`, refilled when the
+    /// head moves past the block.
+    blocks: Vec<[u64; HEAD_BLOCK]>,
     tree: LoserTree,
     remaining: usize,
 }
@@ -68,50 +88,96 @@ impl<'a> RunMerger<'a> {
     pub fn with_bounds(runs: &'a [SortedRun], bounds: &[(u32, u32)]) -> Self {
         assert!(!runs.is_empty(), "need at least one run to merge");
         assert_eq!(bounds.len(), runs.len(), "one bound pair per run");
-        let mut pos = Vec::with_capacity(runs.len());
-        let mut end = Vec::with_capacity(runs.len());
+        let k = runs.len();
+        let mut heads = vec![u64::MAX; k];
+        let mut blocks = vec![[0; HEAD_BLOCK]; k];
         let mut remaining = 0usize;
-        for (r, &(s, e)) in runs.iter().zip(bounds) {
-            assert!(s <= e && e as usize <= r.len(), "bounds outside run");
-            pos.push(s);
-            end.push(e);
+        for (r, (run, &(s, e))) in runs.iter().zip(bounds).enumerate() {
+            assert!(s <= e && e as usize <= run.len(), "bounds outside run");
+            if s < e {
+                fill_block(run, s, e, &mut blocks[r]);
+                heads[r] = blocks[r][0];
+            }
             remaining += (e - s) as usize;
         }
-        let tree = LoserTree::new(runs.len(), |a, b| Self::leaf_less(runs, &pos, &end, a, b));
+        let pos: Vec<u32> = bounds.iter().map(|&(s, _)| s).collect();
+        let end: Vec<u32> = bounds.iter().map(|&(_, e)| e).collect();
+        let tree = LoserTree::new(k, |a, b| Self::leaf_less(runs, &heads, &pos, &end, a, b));
         RunMerger {
             runs,
+            base: pos.clone(),
             pos,
             end,
+            heads,
+            blocks,
             tree,
             remaining,
         }
     }
 
-    /// Compare run heads: prefix first (the cheap integer compare), full key
-    /// on ties, run index last so the merge is deterministic and stable
-    /// across runs.
+    /// Move run `r`'s head one record on and load its prefix, refilling
+    /// the run's block when the head leaves it.
     #[inline]
-    fn leaf_less(runs: &[SortedRun], pos: &[u32], end: &[u32], a: usize, b: usize) -> bool {
-        let (pa, pb) = (pos[a] as usize, pos[b] as usize);
-        let a_live = pos[a] < end[a];
-        let b_live = pos[b] < end[b];
-        match (a_live, b_live) {
+    fn advance(&mut self, r: usize) {
+        let p = self.pos[r] + 1;
+        self.pos[r] = p;
+        if p == self.end[r] {
+            self.heads[r] = u64::MAX;
+            return;
+        }
+        let mut slot = (p - self.base[r]) as usize;
+        if slot == HEAD_BLOCK {
+            fill_block(&self.runs[r], p, self.end[r], &mut self.blocks[r]);
+            self.base[r] = p;
+            slot = 0;
+        }
+        self.heads[r] = self.blocks[r][slot];
+    }
+
+    /// Compare run heads: cached prefix first (the cheap integer compare,
+    /// no record read), then [`Self::tie_less`].
+    #[inline]
+    fn leaf_less(
+        runs: &[SortedRun],
+        heads: &[u64],
+        pos: &[u32],
+        end: &[u32],
+        a: usize,
+        b: usize,
+    ) -> bool {
+        let (ha, hb) = (heads[a], heads[b]);
+        if ha != hb {
+            return ha < hb;
+        }
+        Self::tie_less(runs, pos, end, a, b)
+    }
+
+    /// Equal prefixes: an exhausted run loses, then the full keys decide,
+    /// then the run index, so the merge is deterministic and stable across
+    /// runs.
+    #[inline(never)]
+    fn tie_less(runs: &[SortedRun], pos: &[u32], end: &[u32], a: usize, b: usize) -> bool {
+        match (pos[a] < end[a], pos[b] < end[b]) {
             (false, _) => false,
             (true, false) => true,
             (true, true) => {
-                let ra = runs[a].record_at(pa);
-                let rb = runs[b].record_at(pb);
-                let (fa, fb) = (ra.prefix(), rb.prefix());
-                if fa != fb {
-                    return fa < fb;
-                }
-                if ra.key != rb.key {
-                    return ra.key < rb.key;
+                let ka = &runs[a].record_at(pos[a] as usize).key;
+                let kb = &runs[b].record_at(pos[b] as usize).key;
+                if ka != kb {
+                    return ka < kb;
                 }
                 a < b
             }
         }
     }
+}
+
+/// Load the prefixes of `run` at sorted positions `from..end`, at most
+/// [`HEAD_BLOCK`] of them, into the front of `block`.
+#[inline]
+fn fill_block(run: &SortedRun, from: u32, end: u32, block: &mut [u64; HEAD_BLOCK]) {
+    let n = ((end - from) as usize).min(HEAD_BLOCK);
+    run.prefixes_into(from as usize, &mut block[..n]);
 }
 
 impl Iterator for RunMerger<'_> {
@@ -126,11 +192,11 @@ impl Iterator for RunMerger<'_> {
             run: w as u32,
             pos: self.pos[w],
         };
-        self.pos[w] += 1;
+        self.advance(w);
         self.remaining -= 1;
-        let (runs, pos, end) = (self.runs, &self.pos, &self.end);
+        let (runs, heads, pos, end) = (self.runs, &self.heads, &self.pos, &self.end);
         self.tree
-            .replay(|a, b| Self::leaf_less(runs, pos, end, a, b));
+            .replay(|a, b| Self::leaf_less(runs, heads, pos, end, a, b));
         Some(out)
     }
 

@@ -38,6 +38,23 @@ impl Planner {
         (self.memory_budget as f64 * Self::RECORD_FRACTION) as u64
     }
 
+    /// Smallest memory budget whose planner sorts `input_bytes` in one
+    /// pass (`u64::MAX` for inputs too large for any budget).
+    pub fn one_pass_budget(input_bytes: u64) -> u64 {
+        // Capacity grows with the budget, and a budget of twice the input
+        // always holds it.
+        let (mut lo, mut hi) = (input_bytes, input_bytes.saturating_mul(2));
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if Planner::new(mid).plan(input_bytes) == PassPlan::OnePass {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+
     /// Choose the plan for an input of `input_bytes`.
     pub fn plan(&self, input_bytes: u64) -> PassPlan {
         if input_bytes <= self.one_pass_capacity() {
@@ -122,6 +139,21 @@ mod tests {
         let p = Planner::new(100 << 20);
         assert_eq!(p.plan(100 << 20), PassPlan::TwoPass);
         assert_eq!(p.plan(p.one_pass_capacity()), PassPlan::OnePass);
+    }
+
+    #[test]
+    fn one_pass_budget_is_the_smallest_one_pass_budget() {
+        for input in [0u64, 1, 100, 150, 10_000, 1_000_003, 100 << 20] {
+            let need = Planner::one_pass_budget(input);
+            assert_eq!(Planner::new(need).plan(input), PassPlan::OnePass, "{input}");
+            if need > 0 {
+                assert_eq!(
+                    Planner::new(need - 1).plan(input),
+                    PassPlan::TwoPass,
+                    "{input}"
+                );
+            }
+        }
     }
 
     #[test]

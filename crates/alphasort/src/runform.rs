@@ -103,10 +103,28 @@ impl SortedRun {
         &self.records()[i]
     }
 
-    /// The key prefix at sorted position `pos`.
+    /// Fill `out` with the key prefixes at sorted positions
+    /// `start..start + out.len()`. The record reads are independent, so
+    /// their cache misses overlap instead of queueing behind each other.
+    ///
+    /// # Panics
+    /// If the range runs past the end of the run.
     #[inline]
-    pub fn prefix_at(&self, pos: usize) -> u64 {
-        self.record_at(pos).prefix()
+    pub(crate) fn prefixes_into(&self, start: usize, out: &mut [u64]) {
+        let records = self.records();
+        let span = start..start + out.len();
+        match &self.order {
+            None => {
+                for (slot, r) in out.iter_mut().zip(&records[span]) {
+                    *slot = r.prefix();
+                }
+            }
+            Some(order) => {
+                for (slot, &i) in out.iter_mut().zip(&order[span]) {
+                    *slot = records[i as usize].prefix();
+                }
+            }
+        }
     }
 
     /// Iterate records in sorted order.

@@ -362,8 +362,9 @@ mod tests {
     }
 
     #[test]
-    fn varlen_two_pass_plan_sorts_in_memory_and_leaves_the_volume_untouched() {
-        use alphasort_core::RecordLayout;
+    fn varlen_two_pass_budget_is_refused_and_its_one_pass_need_runs_in_memory() {
+        use crate::job::SortdError;
+        use alphasort_core::{Planner, RecordLayout};
         use alphasort_dmgen::{generate_varlen, var_records_of, TextCorpus, VarGenConfig};
 
         let data = generate_varlen(VarGenConfig {
@@ -376,10 +377,30 @@ mod tests {
         idx.sort_by(|&a, &b| recs[a].key().cmp(recs[b].key()).then(a.cmp(&b)));
         let want: Vec<u8> = idx.iter().flat_map(|&i| recs[i].frame().to_vec()).collect();
 
-        // Budget far under the input: admission plans two passes.
-        let mut s = spec(data.len() as u64, 32 << 10, data.len() as u64);
+        // Budget far under the input: the plan is two passes, which a
+        // var-len job cannot run, so admission refuses it with the budget
+        // that would plan one pass.
+        let input = data.len() as u64;
+        let mut s = spec(input, 128 << 10, input);
         s.layout = RecordLayout::VarLen;
         assert_eq!(s.plan(), PassPlan::TwoPass);
+        let need = Planner::one_pass_budget(input);
+        let err = s.validate(1 << 30, 1 << 30).unwrap_err();
+        assert_eq!(
+            err,
+            SortdError::BudgetTooSmall {
+                what: "memory",
+                asked: 128 << 10,
+                need,
+            }
+        );
+        assert!(!err.retryable());
+
+        // Resubmitted at that budget it plans, runs and reports one pass,
+        // and never touches the shared volume.
+        s.mem_budget = need;
+        s.scratch_budget = 0;
+        s.validate(1 << 30, 1 << 30).unwrap();
         let storages: Vec<Arc<MemStorage>> = (0..2).map(|_| Arc::new(MemStorage::new())).collect();
         let volume = striped_volume(&storages);
         let backing = ScratchBacking::SharedVolume(Arc::clone(&volume), 64 << 10);
@@ -387,7 +408,7 @@ mod tests {
         let (out, stats, plan) =
             run_job(18, &s, data, &backing, &CancelToken::new(), Some(&path)).unwrap();
         assert_eq!(out, want);
-        assert_eq!(plan, PassPlan::OnePass, "var-len sorts run in memory");
+        assert_eq!(plan, PassPlan::OnePass);
         assert!(stats.one_pass);
         assert!(
             storages.iter().all(|st| st.len() == 0),

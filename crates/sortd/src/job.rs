@@ -6,7 +6,8 @@
 //! pool's totals *before* admission — a job that could never fit is
 //! rejected immediately with a non-retryable error instead of queueing
 //! forever — and against the plan the budgets imply (a two-pass job whose
-//! scratch budget cannot hold its runs is equally hopeless).
+//! scratch budget cannot hold its runs is equally hopeless, and so is a
+//! var-len job planned two passes: it can only sort in memory).
 
 use alphasort_core::{PassPlan, Planner, RecordLayout};
 use alphasort_dmgen::RECORD_LEN;
@@ -46,8 +47,8 @@ pub struct JobSpec {
     /// on the wire; absent means fixed Datamation records, so old clients
     /// keep working unchanged. `varlen` streams length-prefixed frames with
     /// string keys through the LCP/OVC-aware pipeline, always in memory
-    /// (scratch runs hold fixed-size records), whatever [`JobSpec::plan`]
-    /// says.
+    /// (scratch runs hold fixed-size records), so [`JobSpec::validate`]
+    /// refuses a var-len job whose budget plans two passes.
     pub layout: RecordLayout,
     /// Client-supplied idempotency key. Optional on the wire. With a
     /// journaling daemon, re-submitting the same key never executes twice:
@@ -153,7 +154,8 @@ impl JobSpec {
     /// Reject manifests that could never run: malformed input length,
     /// budgets below the floor, budgets above the pool's *total* capacity
     /// (would queue forever), a two-pass plan whose scratch budget cannot
-    /// hold the spilled runs, or more merge workers than
+    /// hold the spilled runs, a var-len job whose memory budget plans two
+    /// passes (it can only sort in memory), or more merge workers than
     /// [`MAX_MERGE_WORKERS`].
     pub fn validate(&self, pool_mem_total: u64, pool_scratch_total: u64) -> Result<(), SortdError> {
         if self.input_bytes == 0 {
@@ -196,6 +198,17 @@ impl JobSpec {
                 what: "scratch",
                 asked: self.scratch_budget,
                 total: pool_scratch_total,
+            });
+        }
+        // Var-len jobs always sort in memory (two-pass scratch holds
+        // fixed-size records only). A budget that plans two passes would
+        // reserve scratch the job never touches and hold its whole input
+        // past its memory budget.
+        if self.layout == RecordLayout::VarLen && self.plan() == PassPlan::TwoPass {
+            return Err(SortdError::BudgetTooSmall {
+                what: "memory",
+                asked: self.mem_budget,
+                need: Planner::one_pass_budget(self.input_bytes),
             });
         }
         if self.plan() == PassPlan::TwoPass && self.scratch_budget < self.input_bytes {
@@ -467,6 +480,44 @@ mod tests {
             ..spec(0, 1 << 20, 0)
         };
         assert_eq!(empty.validate(pool.0, pool.1).unwrap_err().code(), "bad_manifest");
+    }
+
+    #[test]
+    fn varlen_two_pass_budget_is_refused_with_its_one_pass_need() {
+        let pool = (8 << 20, 32 << 20);
+        let input = 10_000 * RECORD_LEN as u64;
+        let need = Planner::one_pass_budget(input);
+        let too_small = JobSpec {
+            layout: RecordLayout::VarLen,
+            ..spec(input, need - 1, input)
+        };
+        assert_eq!(too_small.plan(), PassPlan::TwoPass);
+        let err = too_small.validate(pool.0, pool.1).unwrap_err();
+        assert_eq!(
+            err,
+            SortdError::BudgetTooSmall {
+                what: "memory",
+                asked: need - 1,
+                need,
+            }
+        );
+        assert_eq!(err.code(), "budget_too_small");
+        assert!(!err.retryable(), "a bigger budget is needed, not a retry");
+        // The budget it names plans one pass and is admitted, no scratch
+        // asked.
+        let enough = JobSpec {
+            mem_budget: need,
+            scratch_budget: 0,
+            ..too_small.clone()
+        };
+        assert_eq!(enough.plan(), PassPlan::OnePass);
+        enough.validate(pool.0, pool.1).unwrap();
+        // The same budget on Datamation records still plans a spill.
+        let datamation = JobSpec {
+            layout: RecordLayout::Datamation,
+            ..too_small
+        };
+        datamation.validate(pool.0, pool.1).unwrap();
     }
 
     #[test]
